@@ -6,8 +6,6 @@ and information-fusion feature-sensitivity analysis, runnable end to end
 on ingested corpora or deterministic synthetic data.
 """
 
-from .kernels import BACKEND
-
 __version__ = "0.1.0"
 
-__all__ = ["BACKEND", "__version__"]
+__all__ = ["__version__"]

@@ -499,7 +499,8 @@ def sensitivity(train_src, test_src, test_fraction, algos, feature_selector, see
         test_size = int(len(full) * test_fraction)
         frac = counts["human"] / max(1, counts["human"] + counts["fake"])
         test_set = rebalance(full, frac, test_size, seed=seed + 1)
-        train_ids = [uid for uid in full.account_ids if uid not in set(test_set.account_ids)]
+        held_out = set(test_set.account_ids)
+        train_ids = [uid for uid in full.account_ids if uid not in held_out]
         train_set = full.subset(train_ids, provenance=f"{full.provenance}|train-split")
     report = sens_mod.analyze(
         train_set, test_set, algorithms=algorithms, specs=specs, seed=seed, jobs=jobs

@@ -1,38 +1,46 @@
-"""Best-threshold split search, with a compiled core when available.
+"""Best-threshold split search over a block of presorted columns.
 
-The compiled extension is selected at import time; set FAKESCOPE_NO_EXT=1
-to force the numpy fallback. Both backends receive identically sorted
-input and break gain ties toward the lowest threshold.
+One search serves every caller: the tree learner scans all candidate
+features of a node in one pass, and the 1-D information gain scans a
+single column. Gains are evaluated only where the sorted value changes,
+and ties go to the lowest column, then the lowest threshold.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 import numpy as np
 
-try:
-    if os.environ.get("FAKESCOPE_NO_EXT") == "1":
-        _fastsplit = None
-    else:
-        from fakescope import _fastsplit
-except ImportError:
-    _fastsplit = None
 
-BACKEND = "compiled" if _fastsplit is not None else "python"
+def presort(X: np.ndarray) -> np.ndarray:
+    """Stable row order of every column of ``X``, shape (d, n), C order."""
+    return np.argsort(np.ascontiguousarray(X.T), axis=1, kind="stable")
+
+
+def dense_ranks(X: np.ndarray) -> np.ndarray:
+    """Per-column dense ranks of the finite ``X``, same shape, unsigned ints.
+
+    Equal values share a rank and larger values get larger ranks, so
+    ``presort(dense_ranks(X)[rows])`` equals ``presort(X[rows])`` for any
+    row selection. Ranks of up to 16 bits are radix sorted by numpy.
+    """
+    n = X.shape[0]
+    order = presort(X)
+    values = np.take_along_axis(np.ascontiguousarray(X.T), order, axis=1)
+    steps = np.zeros(order.shape, dtype=np.intp)
+    np.cumsum(values[:, 1:] != values[:, :-1], axis=1, out=steps[:, 1:])
+    ranks = np.empty_like(steps)
+    np.put_along_axis(ranks, order, steps, axis=1)
+    return ranks.T.astype(np.min_scalar_type(max(n - 1, 0)))
 
 
 def _entropy_pair(pos: np.ndarray, total: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.where(total > 0, pos / np.where(total > 0, total, 1.0), 0.0)
-        q = 1.0 - p
-        h = np.zeros_like(p)
-        mask = p > 0
-        h[mask] -= p[mask] * np.log2(p[mask])
-        mask = q > 0
-        h[mask] -= q[mask] * np.log2(q[mask])
-    return h
+    """Binary entropy (bits) of pos / total, elementwise; 0 where total <= 0."""
+    p = pos / np.where(total > 0, total, np.inf)
+    q = 1.0 - p
+    # log2(1) = 0 stands in for the 0 * log2(0) term of a pure side
+    return (0.0 - p * np.log2(np.where(p > 0, p, 1.0))) - q * np.log2(np.where(q > 0, q, 1.0))
 
 
 def binary_entropy(pos: float, total: float) -> float:
@@ -41,51 +49,44 @@ def binary_entropy(pos: float, total: float) -> float:
     return float(_entropy_pair(np.asarray([pos], float), np.asarray([total], float))[0])
 
 
-def _best_split_sorted_py(
-    v: np.ndarray, w: np.ndarray, wf: np.ndarray
-) -> Optional[tuple[float, float]]:
-    total_w = float(w.sum())
-    total_f = float(wf.sum())
-    if total_w <= 0.0 or v.shape[0] < 2:
-        return None
-    cuts = np.nonzero(v[1:] != v[:-1])[0]
-    if cuts.size == 0:
-        return None
-    cw = np.cumsum(w)
-    cwf = np.cumsum(wf)
-    lw = cw[cuts]
-    lf = cwf[cuts]
-    rw = total_w - lw
-    rf = total_f - lf
-    h_parent = binary_entropy(total_f, total_w)
-    child = (lw * _entropy_pair(lf, lw) + rw * _entropy_pair(rf, rw)) / total_w
-    gains = h_parent - child
-    best = int(np.argmax(gains))  # first max: lowest threshold wins ties
-    threshold = 0.5 * float(v[cuts[best]] + v[cuts[best] + 1])
-    return float(gains[best]), threshold
-
-
 def best_threshold_split(
     values: np.ndarray,
-    y: np.ndarray,
-    weights: Optional[np.ndarray] = None,
-) -> Optional[tuple[float, float]]:
-    """Best (gain, threshold) for splitting `values <= t` against binary `y`.
+    weights: np.ndarray,
+    weighted_fake: np.ndarray,
+) -> Optional[tuple[float, int, float]]:
+    """Best (gain, column, threshold) for splitting `values[:, column] <= t`.
 
-    Returns None when no split exists (fewer than two distinct values).
+    All three arguments are (m, k) blocks of m rows and k columns, each
+    column sorted ascending by its values: ``weights`` holds the row
+    weights and ``weighted_fake`` the weights times the 0/1 labels, in the
+    same order. Weights must be non-negative. Column-major blocks (the
+    transpose of a C-order (k, m) array) are used without a copy, and each
+    column is then summed like a 1-D array. Returns None when no column
+    holds two distinct values.
     """
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    if weights is None:
-        weights = np.ones_like(values)
-    else:
-        weights = np.ascontiguousarray(weights, dtype=np.float64)
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    w = weights[order]
-    wf = w * y[order]
-    if _fastsplit is not None:
-        return _fastsplit.best_split_sorted(
-            np.ascontiguousarray(v), np.ascontiguousarray(w), np.ascontiguousarray(wf)
-        )
-    return _best_split_sorted_py(v, w, wf)
+    v = np.ascontiguousarray(values.T, dtype=np.float64)
+    w = np.ascontiguousarray(weights.T, dtype=np.float64)
+    wf = np.ascontiguousarray(weighted_fake.T, dtype=np.float64)
+    k, m = v.shape
+    total_w = w.sum(axis=1)
+    if m < 2 or k == 0 or total_w[0] <= 0.0:
+        return None
+    # flat index j * (m - 1) + i of each cut between positions i and i + 1
+    cuts = np.flatnonzero(v[:, 1:] != v[:, :-1])
+    if cuts.size == 0:
+        return None
+    column = cuts // (m - 1)
+    at = cuts + column  # the same cut as an index into a flat (k, m) block
+    lw = np.cumsum(w, axis=1).ravel()[at]
+    lf = np.cumsum(wf, axis=1).ravel()[at]
+    total_f = wf.sum(axis=1)
+    tw = total_w[column]
+    rw = tw - lw
+    rf = total_f[column] - lf
+    n = cuts.size
+    h = _entropy_pair(np.concatenate((lf, rf, total_f)), np.concatenate((lw, rw, total_w)))
+    gains = h[2 * n:][column] - (lw * h[:n] + rw * h[n:2 * n]) / tw
+    best = int(np.argmax(gains))  # first max: lowest column, then lowest threshold
+    j = int(column[best])
+    i = int(cuts[best]) - j * (m - 1)
+    return float(gains[best]), j, 0.5 * float(v[j, i] + v[j, i + 1])

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..kernels import dense_ranks, presort
 from ..seeding import make_rng
 from .tree import LearnError, TreeNode, grow_tree, tree_predict_proba
 
@@ -26,13 +27,17 @@ def rf_fit(
     max_depth: int | None = None,
     feature_sample: str = "sqrt",
 ) -> ForestState:
-    """Bootstrap each tree; per split, draw ceil(sqrt(d)) candidate features."""
+    """Bootstrap each tree; per split, draw ceil(sqrt(d)) candidate features.
+
+    Each tree sorts its bootstrap sample once, by the dense ranks of X.
+    """
     if n_trees < 1:
         raise LearnError("n_trees must be positive")
     if feature_sample not in ("sqrt", "all"):
         raise LearnError(f"unknown feature_sample {feature_sample!r}")
     n, d = X.shape
     mtry = d if feature_sample == "all" else max(1, math.ceil(math.sqrt(d)))
+    ranks = dense_ranks(X)
     trees = []
     for t in range(n_trees):
         rng = make_rng(seed, 7, t)
@@ -45,6 +50,7 @@ def rf_fit(
                 max_depth=max_depth,
                 rng=rng,
                 mtry=mtry,
+                order=presort(ranks[idx]),
             )
         )
     return ForestState(trees=trees, mtry=mtry)
@@ -70,17 +76,21 @@ def ab_fit(
     depth: int = 1,
     min_leaf: int = 2,
 ) -> BoostState:
-    """Standard exponential-loss boosting of depth-capped trees."""
+    """Standard exponential-loss boosting of depth-capped trees.
+
+    Only the weights change between rounds, so the columns are sorted once.
+    """
     if rounds < 1:
         raise LearnError("rounds must be positive")
     if not 1 <= depth <= 3:
         raise LearnError("base-tree depth must be 1..3")
     n = X.shape[0]
+    order = presort(X)
     w = np.full(n, 1.0 / n)
     alphas: list[float] = []
     trees: list[TreeNode] = []
     for t in range(rounds):
-        tree = grow_tree(X, y, weights=w, min_leaf=min_leaf, max_depth=depth)
+        tree = grow_tree(X, y, weights=w, min_leaf=min_leaf, max_depth=depth, order=order)
         pred = (tree_predict_proba(tree, X) >= 0.5).astype(np.float64)
         miss = pred != y
         err = float(w[miss].sum())

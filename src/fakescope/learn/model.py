@@ -305,15 +305,79 @@ def model_to_json(model: TrainedModel) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+def _check_tree(root: TreeNode, n_features: int) -> None:
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            continue
+        feature = node.feature
+        if isinstance(feature, bool) or not isinstance(feature, int) or not (
+            0 <= feature < n_features
+        ):
+            raise LearnError(
+                f"tree node feature {feature!r} is out of range for {n_features} features"
+            )
+        if isinstance(node.threshold, bool) or not isinstance(node.threshold, (int, float)):
+            raise LearnError(f"tree node threshold {node.threshold!r} is not a number")
+        stack.extend((node.left, node.right))
+
+
+def _check_shapes(model: TrainedModel) -> None:
+    d = model.n_features
+    state = model.state
+    if model.algorithm in ("dt", "rf", "ab"):
+        trees = [state.root] if model.algorithm == "dt" else state.trees
+        for root in trees:
+            _check_tree(root, d)
+        if model.algorithm == "ab" and len(state.alphas) != len(state.trees):
+            raise LearnError("boosting model has different numbers of alphas and trees")
+        return
+    if model.algorithm == "knn":
+        arrays = {"mean": (d,), "std": (d,), "X": (len(state.y), d), "y": (len(state.y),)}
+    elif model.algorithm == "nb":
+        arrays = {name: (d,) for name in (
+            "is_bernoulli", "p_fake", "p_human", "mean_fake", "mean_human",
+            "var_fake", "var_human")}
+    else:
+        arrays = {"mean": (d,), "std": (d,), "weights": (d + 1,)}
+    for name, shape in arrays.items():
+        got = getattr(state, name).shape
+        if got != shape:
+            raise LearnError(f"model array {name!r} has shape {got}, expected {shape}")
+
+
 def model_from_json(text: str) -> TrainedModel:
-    payload = json.loads(text)
+    """Reads a model written by ``model_to_json``; a malformed or
+    inconsistent model raises LearnError naming the problem."""
+    try:
+        payload = json.loads(text)
+    except ValueError as exc:
+        raise LearnError(f"model is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise LearnError("model must be a JSON object")
     if payload.get("format_version") != MODEL_FORMAT_VERSION:
         raise LearnError(f"unsupported model format {payload.get('format_version')!r}")
-    return TrainedModel(
-        algorithm=payload["algorithm"],
-        params=payload["params"],
-        feature_names=tuple(payload["feature_names"]),
-        feature_kinds=tuple(payload["feature_kinds"]),
-        seed=payload["seed"],
-        state=_state_from_json(payload["algorithm"], payload["state"]),
-    )
+    algorithm = payload.get("algorithm")
+    if algorithm not in ALGORITHMS:
+        raise LearnError(f"unknown algorithm {algorithm!r}")
+    try:
+        model = TrainedModel(
+            algorithm=algorithm,
+            params=payload["params"],
+            feature_names=tuple(payload["feature_names"]),
+            feature_kinds=tuple(payload["feature_kinds"]),
+            seed=payload["seed"],
+            state=_state_from_json(algorithm, payload["state"]),
+        )
+    except KeyError as exc:
+        raise LearnError(f"model is missing the field {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise LearnError(f"malformed model: {exc}") from None
+    if len(model.feature_names) != len(model.feature_kinds):
+        raise LearnError(
+            f"model has {len(model.feature_names)} feature names "
+            f"but {len(model.feature_kinds)} feature kinds"
+        )
+    _check_shapes(model)
+    return model

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,12 +129,8 @@ class LogisticState:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))  # never overflows: the exponent is at most 0
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def lr_fit(
@@ -158,11 +155,12 @@ def lr_fit(
     w = np.zeros(Xb.shape[1])
     penalty_mask = np.ones_like(w)
     penalty_mask[0] = 0.0
+    penalty = ridge * penalty_mask
     iterations = 0
     for iterations in range(1, max_iter + 1):
         p = _sigmoid(Xb @ w)
-        grad = Xb.T @ (p - y) / n + ridge * penalty_mask * w
-        if float(np.linalg.norm(grad)) < tol:
+        grad = Xb.T @ (p - y) / n + penalty * w
+        if math.sqrt(grad.dot(grad)) < tol:
             break
         w -= step * grad
     return LogisticState(mean=mean, std=std, weights=w, iterations=iterations)

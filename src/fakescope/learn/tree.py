@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..kernels import best_threshold_split
+from ..kernels import best_threshold_split, presort
 
 GAIN_EPS = 1e-12
 
@@ -75,60 +75,89 @@ def grow_tree(
     max_depth: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
     mtry: Optional[int] = None,
+    order: Optional[np.ndarray] = None,
 ) -> TreeNode:
-    """Recursive best-gain threshold splits.
+    """Best-gain threshold splits, grown depth first, left before right.
 
     With ``rng``/``mtry`` set, each split considers a random subset of the
     features that actually vary within the node (columns constant in the
     node sample carry no split and never enter the draw). Equal gains pick
     the lowest feature index, then the lowest threshold.
+
+    Columns are sorted once per tree: ``order`` is ``presort(X)``, passed
+    in by callers that grow several trees on the same rows, and each child
+    takes its rows from its parent's sorted lists by a stable partition.
     """
     n, d = X.shape
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
+    wy = w * y
+    XT = np.ascontiguousarray(X.T, dtype=np.float64)
+    flat = XT.ravel()
+    columns = np.arange(d)
+    offsets = columns * n  # row r of column j sits at flat[offsets[j] + r]
+    sorted_rows = presort(X) if order is None else order
+    goes_left = np.empty(n, dtype=bool)
 
-    def build(idx: np.ndarray, depth: int) -> TreeNode:
-        sub_w = w[idx]
-        node = TreeNode(n_samples=float(sub_w.sum()), n_fake=float((sub_w * y[idx]).sum()))
-        if (
+    def new_node(idx: np.ndarray, depth: int) -> tuple[TreeNode, bool]:
+        """A leaf node for the ascending rows ``idx``, and whether to split it."""
+        node = TreeNode(n_samples=float(w[idx].sum()), n_fake=float(wy[idx].sum()))
+        splittable = not (
             len(idx) < min_leaf
             or node.n_fake <= 0.0
             or node.n_fake >= node.n_samples
             or (max_depth is not None and depth >= max_depth)
-        ):
-            return node
-        sub_X = X[idx]
+        )
+        return node, splittable
+
+    def split(node: TreeNode, rows: np.ndarray, idx: np.ndarray, depth: int) -> list:
+        """Splits ``node`` in place; returns its children still to be split."""
         if rng is not None and mtry is not None:
-            spans = sub_X.max(axis=0) != sub_X.min(axis=0)
+            spans = flat[offsets + rows[:, 0]] != flat[offsets + rows[:, -1]]
             pool = np.nonzero(spans)[0]
             if pool.size == 0:
-                return node
+                return []
             take = min(mtry, pool.size)
             chosen = rng.choice(pool.size, size=take, replace=False)
             candidates = np.sort(pool[chosen])
+            block = rows[candidates]
         else:
-            candidates = np.arange(d)
-        best_gain = -1.0
-        best_feature = -1
-        best_threshold = 0.0
-        for j in candidates:
-            found = best_threshold_split(sub_X[:, j], y[idx], sub_w)
-            if found is None:
-                continue
-            gain, threshold = found
-            if gain > best_gain:
-                best_gain = gain
-                best_feature = int(j)
-                best_threshold = threshold
-        if best_feature < 0 or best_gain <= GAIN_EPS:
-            return node
-        mask = sub_X[:, best_feature] <= best_threshold
-        node.feature = best_feature
-        node.threshold = best_threshold
-        node.left = build(idx[mask], depth + 1)
-        node.right = build(idx[~mask], depth + 1)
-        return node
+            candidates, block = columns, rows
+        at = block + offsets[candidates, None]
+        found = best_threshold_split(flat[at].T, w[block].T, wy[block].T)
+        if found is None or found[0] <= GAIN_EPS:
+            return []
+        _, column, threshold = found
+        feature = int(candidates[column])
+        mask = XT[feature][idx] <= threshold
+        node.feature = feature
+        node.threshold = threshold
+        left_idx = np.compress(mask, idx)
+        right_idx = np.compress(~mask, idx)
+        node.left, left_open = new_node(left_idx, depth + 1)
+        node.right, right_open = new_node(right_idx, depth + 1)
+        if not (left_open or right_open):
+            return []
+        # a stable partition of every column's sorted rows
+        goes_left[idx] = mask
+        on_left = goes_left[rows].ravel()
+        # the left child goes on the stack last, so it is split first and
+        # rng is drawn in the same node order as by a recursive build
+        pending = []
+        if right_open:
+            right = np.compress(~on_left, rows).reshape(d, -1)
+            pending.append((node.right, right, right_idx, depth + 1))
+        if left_open:
+            left = np.compress(on_left, rows).reshape(d, -1)
+            pending.append((node.left, left, left_idx, depth + 1))
+        return pending
 
-    return build(np.arange(n), 0)
+    root, root_open = new_node(np.arange(n), 0)
+    # Pending nodes hold disjoint row sets, so the stack never holds more
+    # than one tree's worth of sorted lists.
+    stack = [(root, sorted_rows, np.arange(n), 0)] if root_open else []
+    while stack:
+        stack.extend(split(*stack.pop()))
+    return root
 
 
 def tree_predict_proba(root: TreeNode, X: np.ndarray) -> np.ndarray:

@@ -205,11 +205,11 @@ def info_gain(
                 float(y[mask].sum()), float(mask.sum())
             )
         return h_parent - h_children
-    found = best_threshold_split(v, y)
+    order = np.argsort(v, kind="stable")
+    found = best_threshold_split(v[order, None], np.ones((len(y), 1)), y[order, None])
     if found is None:
         return 0.0
-    gain, _ = found
-    return max(0.0, gain)
+    return max(0.0, found[0])
 
 
 def pearson(values: Sequence[float], labels: Iterable) -> float:

@@ -1,7 +1,12 @@
 """Classifier training, prediction, determinism, CV, and the sweep."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fakescope.corpus import SynthConfig, synthesize
 from fakescope.features import FeatureSpec, extract, specs_by_names
@@ -18,6 +23,7 @@ from fakescope.learn import (
     predict_many,
     train,
 )
+from fakescope.kernels import best_threshold_split, presort
 from fakescope.learn.ensembles import ab_fit, ab_scores, BoostState
 from fakescope.seeding import derive_seed, make_rng
 
@@ -233,3 +239,128 @@ class TestSweep:
         )
         assert set(report.best_fraction) >= {"accuracy", "mcc", "auc"}
         assert all(v in (0.3, 0.5, 0.7) for v in report.best_fraction.values())
+
+
+class TestModelValidation:
+    def _payload(self, **changes):
+        payload = json.loads(model_to_json(train("dt", simple_matrix(), seed=0)))
+        payload.update(changes)
+        return payload
+
+    def test_unknown_algorithm(self):
+        text = json.dumps(self._payload(algorithm="mean"))
+        with pytest.raises(LearnError, match="unknown algorithm 'mean'"):
+            model_from_json(text)
+
+    def test_tree_feature_out_of_range(self):
+        payload = self._payload()
+        payload["state"]["tree"]["feature"] = 5
+        with pytest.raises(LearnError, match="feature 5 is out of range for 1 features"):
+            model_from_json(json.dumps(payload))
+
+    def test_tree_threshold_not_a_number(self):
+        payload = self._payload()
+        payload["state"]["tree"]["threshold"] = "0.5"
+        with pytest.raises(LearnError, match="threshold '0.5' is not a number"):
+            model_from_json(json.dumps(payload))
+
+    def test_mis_shaped_array(self):
+        model = train("lr", simple_matrix(), seed=0)
+        payload = json.loads(model_to_json(model))
+        payload["state"]["weights"].append(0.0)
+        with pytest.raises(LearnError, match="'weights' has shape \\(3,\\), expected \\(2,\\)"):
+            model_from_json(json.dumps(payload))
+
+    def test_feature_names_and_kinds_differ_in_length(self):
+        text = json.dumps(self._payload(feature_kinds=[RATIO, RATIO]))
+        with pytest.raises(LearnError, match="1 feature names but 2 feature kinds"):
+            model_from_json(text)
+
+
+def _oracle_entropy(pos, total):
+    p = np.where(total > 0, pos / np.where(total > 0, total, 1.0), 0.0)
+    q = 1.0 - p
+    h = np.zeros_like(p)
+    h[p > 0] -= p[p > 0] * np.log2(p[p > 0])
+    h[q > 0] -= q[q > 0] * np.log2(q[q > 0])
+    return h
+
+
+def _oracle_split(X, y, w):
+    """Column by column: stable argsort, then a 1-D scan over the cuts."""
+    best = None
+    for j in range(X.shape[1]):
+        order = np.argsort(X[:, j], kind="stable")
+        v, wj, fj = X[order, j], w[order], (w * y)[order]
+        cuts = np.nonzero(v[1:] != v[:-1])[0]
+        if cuts.size == 0:
+            continue
+        total_w, total_f = float(wj.sum()), float(fj.sum())
+        lw, lf = np.cumsum(wj)[cuts], np.cumsum(fj)[cuts]
+        rw, rf = total_w - lw, total_f - lf
+        parent = float(_oracle_entropy(np.array([total_f]), np.array([total_w]))[0])
+        gains = parent - (lw * _oracle_entropy(lf, lw) + rw * _oracle_entropy(rf, rw)) / total_w
+        i = int(np.argmax(gains))
+        if best is None or gains[i] > best[0]:
+            best = (float(gains[i]), j, 0.5 * float(v[cuts[i]] + v[cuts[i] + 1]))
+    return best
+
+
+@st.composite
+def split_blocks(draw):
+    rows = draw(st.integers(1, 12))
+    cols = draw(st.integers(1, 3))
+    tied = st.sampled_from([-1.0, 0.0, 0.5, 2.0])
+    spread = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    columns = []
+    for _ in range(cols):
+        kind = draw(st.sampled_from(["tied", "spread", "constant"]))
+        if kind == "constant":
+            columns.append([draw(tied)] * rows)
+        else:
+            columns.append(draw(st.lists(tied if kind == "tied" else spread,
+                                         min_size=rows, max_size=rows)))
+    y = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=rows, max_size=rows))
+    if draw(st.booleans()):
+        w = [1.0] * rows
+    else:
+        w = draw(st.lists(st.floats(0.01, 10.0), min_size=rows, max_size=rows))
+    return np.array(columns).T, np.array(y), np.array(w)
+
+
+class TestSplitSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(split_blocks())
+    def test_node_search_matches_per_column_oracle(self, block):
+        X, y, w = block
+        order = presort(X)
+        values = np.take_along_axis(X.T, order, axis=1)
+        found = best_threshold_split(values.T, w[order].T, (w * y)[order].T)
+        assert found == _oracle_split(X, y, w)
+
+
+def _noisy_class_a_matrix():
+    ds = synthesize(SynthConfig.paper_like(seed=23, n_humans=120, n_fakes=120))
+    rng = make_rng(31)
+    flip = {"fake": "human", "human": "fake"}
+    labels = {}
+    for uid in ds.account_ids:
+        label = ds.accounts[uid].label
+        labels[uid] = flip[label] if rng.random() < 0.15 else label
+    return extract(ds.relabeled(labels), CLASS_A_SPECS)
+
+
+# sha256 of model_to_json, recorded before the split search was presorted
+GOLDEN_MODELS = {
+    "dt": (None, "d83314c4d345f8874ac245b82cfbef36275517fa89f2cfee9d8fddd799541e63"),
+    "rf": ({"n_trees": 8}, "623ce711c1dcd762f0eba1295a942f03931ec9a2cec283dd7a70d34387fd2ceb"),
+    "ab": ({"rounds": 20, "depth": 2},
+           "1f44b7d16408e274826915610adc6194a734b8f65b1b2e1f97ecd194e0d6c2b3"),
+}
+
+
+def test_tree_models_are_byte_identical_to_golden():
+    matrix = _noisy_class_a_matrix()
+    for algo, (params, digest) in GOLDEN_MODELS.items():
+        text = model_to_json(train(algo, matrix, params=params, seed=4))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, algo
