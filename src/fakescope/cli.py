@@ -38,6 +38,7 @@ from .learn.model import model_to_json, train as train_model
 from .learn.tree import LearnError
 from .manifest import RunManifest
 from .metrics import MetricError
+from .rules.context import iter_contexts
 from .rules.report import rule_report, run_ruleset
 from .sensitivity import SensitivityError
 
@@ -124,7 +125,7 @@ reference_time_option = click.option(
 )
 
 
-def _load(src, fmt="csv", reference_time=None):
+def _load(src, fmt, reference_time=None):
     ref = parse_timestamp(reference_time) if reference_time else None
     return load_dataset(src, fmt=fmt, reference_time=ref)
 
@@ -233,16 +234,17 @@ def validate_cmd(src, fmt, out_dir, reference_time):
 def rules(src, ruleset, with_report, seed, out_dir, fmt, reference_time):
     """Run the rule-based detectors over a corpus."""
     seed = _resolve_seed(seed)
-    dataset = _load(src, reference_time=reference_time)
+    dataset = _load(src, fmt=fmt, reference_time=reference_time)
     manifest = _manifest("rules", {"src": str(src), "ruleset": ruleset, "report": with_report}, seed)
     manifest.add_input(src)
     selected = ["cc", "sos", "sb"] if ruleset == "all" else [ruleset]
+    contexts = list(iter_contexts(dataset))
     for name in selected:
-        run = run_ruleset(name, dataset)
+        run = run_ruleset(name, dataset, contexts=contexts)
         path = _write_rows(Path(out_dir) / f"verdicts_{name}", run.as_rows(), fmt)
         manifest.add_artifact(path)
     if with_report:
-        rows = [entry.as_row() for entry in rule_report(dataset)]
+        rows = [entry.as_row() for entry in rule_report(dataset, contexts=contexts)]
         path = _write_rows(Path(out_dir) / "rule_report", rows, fmt)
         manifest.add_artifact(path)
         _echo_table(rows)
@@ -260,7 +262,7 @@ def rules(src, ruleset, with_report, seed, out_dir, fmt, reference_time):
 def features(src, feature_class, seed, out_dir, fmt, reference_time):
     """Extract the feature matrix for a corpus."""
     seed = _resolve_seed(seed)
-    dataset = _load(src, reference_time=reference_time)
+    dataset = _load(src, fmt=fmt, reference_time=reference_time)
     specs = feature_catalog(None if feature_class == "all" else feature_class)
     matrix = extract(dataset, specs)
     out = Path(out_dir)
@@ -320,7 +322,7 @@ prune_option = click.option("--prune", default=None, help="reduced_error:FOLDS o
 def train_cmd(src, algo, feature_selector, trees, k_neighbors, rounds, depth, prune, seed, out_dir, fmt, reference_time):
     """Train one classifier on a labeled corpus and save the model."""
     seed = _resolve_seed(seed)
-    dataset = _load(src, reference_time=reference_time)
+    dataset = _load(src, fmt=fmt, reference_time=reference_time)
     specs = feature_set(feature_selector)
     matrix = extract(dataset, specs)
     params = _algo_params(algo, trees, k_neighbors, rounds, depth, prune)
@@ -356,7 +358,7 @@ def train_cmd(src, algo, feature_selector, trees, k_neighbors, rounds, depth, pr
 def cv(src, algo, feature_selector, k, trees, k_neighbors, rounds, depth, prune, seed, out_dir, fmt, jobs, reference_time):
     """K-fold cross-validation with pooled metrics and ROC points."""
     seed = _resolve_seed(seed)
-    dataset = _load(src, reference_time=reference_time)
+    dataset = _load(src, fmt=fmt, reference_time=reference_time)
     specs = feature_set(feature_selector)
     params = _algo_params(algo, trees, k_neighbors, rounds, depth, prune)
     report = cross_validate(algo, dataset, specs, k=k, seed=seed, params=params, jobs=jobs)
@@ -393,12 +395,11 @@ def cv(src, algo, feature_selector, k, trees, k_neighbors, rounds, depth, prune,
 @seed_option
 @out_option
 @format_option
-@jobs_option
 @reference_time_option
-def sweep(src, fractions, algo, feature_selector, target_size, k, seed, out_dir, fmt, jobs, reference_time):
+def sweep(src, fractions, algo, feature_selector, target_size, k, seed, out_dir, fmt, reference_time):
     """Vary the class distribution and cross-validate at each mixture."""
     seed = _resolve_seed(seed)
-    dataset = _load(src, reference_time=reference_time)
+    dataset = _load(src, fmt=fmt, reference_time=reference_time)
     specs = feature_set(feature_selector)
     fraction_values = _parse_fractions(fractions)
     report = class_distribution_sweep(
@@ -491,10 +492,10 @@ def sensitivity(train_src, test_src, test_fraction, algos, feature_selector, see
     specs = feature_set(feature_selector)
     algorithms = tuple(a.strip() for a in algos.split(",") if a.strip())
     if test_src:
-        train_set = _load(train_src, reference_time=reference_time)
-        test_set = _load(test_src, reference_time=reference_time)
+        train_set = _load(train_src, fmt=fmt, reference_time=reference_time)
+        test_set = _load(test_src, fmt=fmt, reference_time=reference_time)
     else:
-        full = _load(train_src, reference_time=reference_time)
+        full = _load(train_src, fmt=fmt, reference_time=reference_time)
         counts = full.class_counts()
         test_size = int(len(full) * test_fraction)
         frac = counts["human"] / max(1, counts["human"] + counts["fake"])

@@ -5,8 +5,9 @@ from __future__ import annotations
 import csv
 import json
 from datetime import datetime, timedelta
+from operator import itemgetter
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .model import (
     Account,
@@ -50,6 +51,7 @@ TWEET_COLUMNS = [
     "num_mentions",
     "num_urls",
 ]
+ENTITY_COLUMNS = TWEET_COLUMNS[-3:]
 
 EDGE_COLUMNS = ["follower_id", "followed_id"]
 NEIGHBOR_COLUMNS = ["id", "followers_count", "statuses_count"]
@@ -85,47 +87,65 @@ def _optional(raw: Optional[str]) -> Optional[str]:
     return raw if raw.strip() else None
 
 
-class _RowReader:
-    """Iterates rows of a CSV or JSONL file as dicts, tracking line numbers."""
+def _format_of(path: Path, fmt: str) -> str:
+    """The format a file is parsed in: its extension's, else ``fmt``."""
+    suffix = path.suffix.lower()
+    if suffix == ".csv":
+        return "csv"
+    if suffix in (".json", ".jsonl"):
+        return "json"
+    return fmt
 
-    def __init__(self, path: Path, fmt: str, required: list[str]):
-        self.path = path
-        self.fmt = fmt
-        self.required = required
 
-    def __iter__(self):
-        if self.fmt == "csv":
-            with open(self.path, newline="", encoding="utf-8") as fh:
-                reader = csv.DictReader(fh)
-                header = reader.fieldnames or []
-                missing = [c for c in self.required if c not in header]
+def _rows(
+    path: Path, fmt: str, columns: list[str], required: list[str]
+) -> Iterator[tuple[int, Sequence[Optional[str]]]]:
+    """Yields ``(line, cells)`` for each row of a CSV or JSON-lines file.
+
+    ``cells`` holds one cell per entry of ``columns``, in that order: a
+    string, or None where the row lacks the cell (a short CSV row, a column
+    the header does not name, a field the JSON object does not have).
+    """
+    if _format_of(path, fmt) == "csv":
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            missing = [c for c in required if c not in header]
+            if missing:
+                raise MalformedRowError(str(path), 1, missing[0], "missing required column")
+            width = len(header)
+            position = {name: i for i, name in enumerate(header)}  # a repeated name: last wins
+            # a column the header lacks reads the None cell put after the header's cells
+            absent = any(c not in position for c in columns)
+            cells = itemgetter(*(position.get(c, width) for c in columns))
+            padding = [None] * (width + 1)
+            for row in reader:
+                if not row:
+                    continue
+                if absent or len(row) != width:  # cells past the header are ignored
+                    row = (row[:width] + padding)[: width + 1]
+                yield reader.line_num, cells(row)
+    else:
+        with open(path, encoding="utf-8") as fh:
+            for line_num, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    row = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise MalformedRowError(
+                        str(path), line_num, "-", f"invalid JSON: {exc.msg}"
+                    ) from exc
+                if not isinstance(row, dict):
+                    raise MalformedRowError(
+                        str(path), line_num, "-", "expected one object per line"
+                    )
+                missing = [c for c in required if c not in row]
                 if missing:
                     raise MalformedRowError(
-                        str(self.path), 1, missing[0], "missing required column"
+                        str(path), line_num, missing[0], "missing required field"
                     )
-                for row in reader:
-                    yield reader.line_num, row
-        else:
-            with open(self.path, encoding="utf-8") as fh:
-                for line_num, line in enumerate(fh, start=1):
-                    if not line.strip():
-                        continue
-                    try:
-                        row = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        raise MalformedRowError(
-                            str(self.path), line_num, "-", f"invalid JSON: {exc.msg}"
-                        ) from exc
-                    if not isinstance(row, dict):
-                        raise MalformedRowError(
-                            str(self.path), line_num, "-", "expected one object per line"
-                        )
-                    missing = [c for c in self.required if c not in row]
-                    if missing:
-                        raise MalformedRowError(
-                            str(self.path), line_num, missing[0], "missing required field"
-                        )
-                    yield line_num, {k: _json_cell(v) for k, v in row.items()}
+                yield line_num, [_json_cell(row[c]) if c in row else None for c in columns]
 
 
 def _json_cell(value) -> str:
@@ -136,20 +156,38 @@ def _json_cell(value) -> str:
     return str(value)
 
 
-def _field(path: Path, line: int, row: Mapping[str, str], column: str, parser, default=None):
-    raw = row.get(column)
-    if raw is None or not str(raw).strip():
-        if default is not None or column in ("url", "location", "description", "label"):
+def _field(path: Path, line: int, column: str, raw: Optional[str], parser, default=None):
+    """``parser(raw)``; a blank cell gives ``default``, or is an error when
+    there is none."""
+    if raw is None or not raw.strip():
+        if default is not None:
             return default
         raise MalformedRowError(str(path), line, column, "empty value")
     try:
-        return parser(str(raw))
+        return parser(raw)
     except (ValueError, TypeError) as exc:
         raise MalformedRowError(str(path), line, column, str(exc)) from exc
 
 
+def _int_field(path: Path, line: int, column: str, raw: Optional[str], default=None) -> int:
+    try:
+        return int(raw)  # the common case; int() ignores the whitespace strip() would remove
+    except (ValueError, TypeError):
+        return _field(path, line, column, raw, _parse_int, default)
+
+
+_FLAGS = {"0": False, "1": True}
+
+
+def _bool_field(path: Path, line: int, column: str, raw: Optional[str]) -> bool:
+    value = _FLAGS.get(raw)
+    if value is None:
+        return _field(path, line, column, raw, _parse_bool, False)
+    return value
+
+
 def _resolve_paths(source, fmt: str) -> dict[str, Optional[Path]]:
-    ext = "csv" if fmt == "csv" else "json"
+    extensions = ("csv", "json", "jsonl") if fmt == "csv" else ("json", "jsonl", "csv")
     if isinstance(source, Mapping):
         return {
             key: Path(p) if p is not None else None
@@ -163,7 +201,8 @@ def _resolve_paths(source, fmt: str) -> dict[str, Optional[Path]]:
     base = Path(source)
     found: dict[str, Optional[Path]] = {}
     for key in ("users", "tweets", "edges", "neighbors"):
-        for candidate in (base / f"{key}.{ext}", base / f"{key}.jsonl"):
+        for ext in extensions:
+            candidate = base / f"{key}.{ext}"
             if candidate.exists():
                 found[key] = candidate
                 break
@@ -180,8 +219,10 @@ def load_dataset(
 ) -> LabeledDataset:
     """Load and integrity-check a corpus from ``source``.
 
-    ``source`` is a directory holding users/tweets/edges(.csv|.json) files
-    (neighbors optional) or a mapping of those keys to explicit paths.
+    ``source`` is a directory holding users/tweets/edges(.csv|.json|.jsonl)
+    files (neighbors optional) or a mapping of those keys to explicit paths.
+    Each file is parsed by its extension; ``fmt`` picks the extension looked
+    for first and parses a file whose extension is neither.
     When ``reference_time`` is not given it defaults to the newest timestamp
     in the corpus plus one day.
     """
@@ -193,30 +234,33 @@ def load_dataset(
         raise EmptyCorpusError(f"no users file found under {source}")
 
     accounts: dict[str, Account] = {}
-    for line, row in _RowReader(users_path, fmt, ["id", "screen_name", "created_at"]):
-        uid = str(row["id"]).strip()
+    for line, (
+        uid, screen_name, name, created_at, followers, friends, statuses, listed, favourites,
+        url, location, description, default_image, fingerprint, label,
+    ) in _rows(users_path, fmt, USER_COLUMNS, ["id", "screen_name", "created_at"]):
+        uid = str(uid).strip()
         if uid in accounts:
             raise DuplicateIdError(f"{users_path}: duplicate user_id {uid!r}")
-        label = _optional(row.get("label"))
+        label = _optional(label)
         if label is not None and label not in ("human", "fake"):
             raise MalformedRowError(str(users_path), line, "label", f"unknown label {label!r}")
         accounts[uid] = Account(
             user_id=uid,
-            screen_name=str(row.get("screen_name", "")).strip(),
-            name=str(row.get("name", "") or ""),
-            created_at=_field(users_path, line, row, "created_at", parse_timestamp),
-            followers_count=_field(users_path, line, row, "followers_count", _parse_int, 0),
-            friends_count=_field(users_path, line, row, "friends_count", _parse_int, 0),
-            statuses_count=_field(users_path, line, row, "statuses_count", _parse_int, 0),
-            listed_count=_field(users_path, line, row, "listed_count", _parse_int, 0),
-            favourites_count=_field(users_path, line, row, "favourites_count", _parse_int, 0),
-            url=_optional(row.get("url")),
-            location=_optional(row.get("location")),
-            description=_optional(row.get("description")),
-            default_profile_image=_field(
-                users_path, line, row, "default_profile_image", _parse_bool, False
+            screen_name=str(screen_name).strip(),
+            name=name or "",
+            created_at=_field(users_path, line, "created_at", created_at, parse_timestamp),
+            followers_count=_int_field(users_path, line, "followers_count", followers, 0),
+            friends_count=_int_field(users_path, line, "friends_count", friends, 0),
+            statuses_count=_int_field(users_path, line, "statuses_count", statuses, 0),
+            listed_count=_int_field(users_path, line, "listed_count", listed, 0),
+            favourites_count=_int_field(users_path, line, "favourites_count", favourites, 0),
+            url=_optional(url),
+            location=_optional(location),
+            description=_optional(description),
+            default_profile_image=_bool_field(
+                users_path, line, "default_profile_image", default_image
             ),
-            profile_image_fingerprint=_optional(row.get("profile_image_hash")),
+            profile_image_fingerprint=_optional(fingerprint),
             label=label,
         )
     if not accounts:
@@ -227,37 +271,35 @@ def load_dataset(
     if tweets_path is not None and tweets_path.exists():
         seen_tweets: set[str] = set()
         dangling: list[str] = []
-        for line, row in _RowReader(tweets_path, fmt, ["id", "user_id", "created_at"]):
-            tid = str(row["id"]).strip()
+        for line, (
+            tid, uid, created_at, text, source, retweet, retweets, geo, *entity_cells
+        ) in _rows(tweets_path, fmt, TWEET_COLUMNS, ["id", "user_id", "created_at"]):
+            tid = str(tid).strip()
             if tid in seen_tweets:
                 raise DuplicateIdError(f"{tweets_path}: duplicate tweet id {tid!r}")
             seen_tweets.add(tid)
-            uid = str(row["user_id"]).strip()
+            uid = str(uid).strip()
             if uid not in accounts:
                 dangling.append(tid)
                 continue
-            text = str(row.get("text", "") or "")
-            derived = count_entities(text)
-            entity = []
-            for i, column in enumerate(("num_hashtags", "num_mentions", "num_urls")):
-                raw = row.get(column)
-                if raw is None or not str(raw).strip():
-                    entity.append(derived[i])
-                else:
-                    entity.append(_field(tweets_path, line, row, column, _parse_int))
+            text = text or ""
+            try:
+                entities = list(map(int, entity_cells))
+            except (ValueError, TypeError):
+                entities = _entity_counts(tweets_path, line, text, entity_cells)
             tweets[uid].append(
                 Tweet(
                     tweet_id=tid,
                     user_id=uid,
-                    created_at=_field(tweets_path, line, row, "created_at", parse_timestamp),
+                    created_at=_field(tweets_path, line, "created_at", created_at, parse_timestamp),
                     text=text,
-                    source=str(row.get("source", "") or ""),
-                    is_retweet=_field(tweets_path, line, row, "is_retweet", _parse_bool, False),
-                    retweet_count=_field(tweets_path, line, row, "retweet_count", _parse_int, 0),
-                    is_geolocalized=_field(tweets_path, line, row, "geo", _parse_bool, False),
-                    num_hashtags=entity[0],
-                    num_mentions=entity[1],
-                    num_urls=entity[2],
+                    source=source or "",
+                    is_retweet=_bool_field(tweets_path, line, "is_retweet", retweet),
+                    retweet_count=_int_field(tweets_path, line, "retweet_count", retweets, 0),
+                    is_geolocalized=_bool_field(tweets_path, line, "geo", geo),
+                    num_hashtags=entities[0],
+                    num_mentions=entities[1],
+                    num_urls=entities[2],
                 )
             )
         if dangling:
@@ -269,28 +311,27 @@ def load_dataset(
     neighbor_summaries: dict[str, NeighborSummary] = {}
     neighbors_path = paths["neighbors"]
     if neighbors_path is not None and neighbors_path.exists():
-        for line, row in _RowReader(neighbors_path, fmt, NEIGHBOR_COLUMNS):
-            nid = str(row["id"]).strip()
+        for line, (nid, followers, statuses) in _rows(
+            neighbors_path, fmt, NEIGHBOR_COLUMNS, NEIGHBOR_COLUMNS
+        ):
+            nid = str(nid).strip()
             if nid in neighbor_summaries:
                 raise DuplicateIdError(f"{neighbors_path}: duplicate neighbor id {nid!r}")
             neighbor_summaries[nid] = NeighborSummary(
-                followers_count=_field(neighbors_path, line, row, "followers_count", _parse_int),
-                statuses_count=_field(neighbors_path, line, row, "statuses_count", _parse_int),
+                followers_count=_int_field(neighbors_path, line, "followers_count", followers),
+                statuses_count=_int_field(neighbors_path, line, "statuses_count", statuses),
             )
 
-    edges: list[tuple[str, str]] = []
+    edges: dict[tuple[str, str], None] = {}  # insertion-ordered, so also the duplicate check
     edges_path = paths["edges"]
     if edges_path is not None and edges_path.exists():
-        seen_edges: set[tuple[str, str]] = set()
-        for line, row in _RowReader(edges_path, fmt, EDGE_COLUMNS):
-            src = str(row["follower_id"]).strip()
-            dst = str(row["followed_id"]).strip()
-            if src == dst:
+        for line, (src, dst) in _rows(edges_path, fmt, EDGE_COLUMNS, EDGE_COLUMNS):
+            edge = (str(src).strip(), str(dst).strip())
+            if edge[0] == edge[1]:
                 raise MalformedRowError(str(edges_path), line, "followed_id", "self-loop")
-            if (src, dst) in seen_edges:
+            if edge in edges:
                 raise MalformedRowError(str(edges_path), line, "followed_id", "duplicate edge")
-            seen_edges.add((src, dst))
-            edges.append((src, dst))
+            edges[edge] = None
 
     graph = RelationshipGraph(edges, neighbor_summaries)
     if reference_time is None:
@@ -321,6 +362,15 @@ def load_dataset(
             + ", ".join(unresolved_friends[:10])
         )
     return dataset
+
+
+def _entity_counts(path: Path, line: int, text: str, cells) -> list[int]:
+    """Hashtag, mention and URL counts: each blank cell derived from the text."""
+    derived = count_entities(text)
+    return [
+        derived[i] if raw is None or not raw.strip() else _field(path, line, column, raw, _parse_int)
+        for i, (column, raw) in enumerate(zip(ENTITY_COLUMNS, cells))
+    ]
 
 
 def _bool_cell(value: bool) -> str:

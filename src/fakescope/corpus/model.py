@@ -7,6 +7,8 @@ they can be read from any number of workers without locking.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from typing import Iterable, Mapping, Optional
@@ -112,14 +114,11 @@ class RelationshipGraph:
         self.edges: tuple[tuple[str, str], ...] = tuple(edges)
         self.neighbor_summaries: dict[str, NeighborSummary] = dict(neighbor_summaries or {})
         self._stats: dict[str, NeighborSummary] = dict(self.neighbor_summaries)
-        friends: dict[str, set[str]] = {}
-        followers: dict[str, set[str]] = {}
-        edge_set = set()
+        friends: defaultdict[str, set[str]] = defaultdict(set)
+        followers: defaultdict[str, set[str]] = defaultdict(set)
         for src, dst in self.edges:
-            edge_set.add((src, dst))
-            friends.setdefault(src, set()).add(dst)
-            followers.setdefault(dst, set()).add(src)
-        self._edge_set = edge_set
+            friends[src].add(dst)
+            followers[dst].add(src)
         self._friends = {k: tuple(sorted(v)) for k, v in friends.items()}
         self._followers = {k: tuple(sorted(v)) for k, v in followers.items()}
 
@@ -131,7 +130,9 @@ class RelationshipGraph:
         return self._followers.get(user_id, ())
 
     def has_edge(self, src: str, dst: str) -> bool:
-        return (src, dst) in self._edge_set
+        friends = self._friends.get(src, ())
+        i = bisect_left(friends, dst)
+        return i < len(friends) and friends[i] == dst
 
     def attach_account_stats(self, stats: Mapping[str, NeighborSummary]) -> None:
         """Register in-dataset accounts so every neighbor can be resolved."""

@@ -11,26 +11,23 @@ import csv
 import json
 import statistics
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from ..corpus.errors import DanglingReferenceError, InsufficientDataError
-from ..corpus.model import (
-    Account,
-    LabeledDataset,
-    RelationshipGraph,
-    Tweet,
-)
+from ..corpus.model import Account, LabeledDataset, RelationshipGraph, Tweet
 from ..metrics import MetricError
 from ..rules.catalog import (
     RuleId,
     account_age_days,
     capped_ratio,
     evaluate_rule,
+    fraction,
 )
-from ..rules.context import AccountContext, picture_counts
+from ..rules.context import AccountContext, TimelineCounts, picture_counts
 from .catalog import FeatureSpec
 
 SIMILARITY_WINDOW = 15
@@ -49,13 +46,12 @@ def message_similarity(
 ) -> bool:
     """True when two of the newest `window` tweets share `run_length`
     consecutive words (case-insensitive, whitespace tokens)."""
-    recent = list(tweets[:window])
-    seen: list[set[tuple[str, ...]]] = []
-    for tweet in recent:
+    seen: set[tuple[str, ...]] = set()  # the runs of every newer tweet
+    for tweet in tweets[:window]:
         runs = _word_runs(tweet.text, run_length)
-        if runs and any(runs & other for other in seen):
+        if not seen.isdisjoint(runs):
             return True
-        seen.append(runs)
+        seen |= runs
     return False
 
 
@@ -131,42 +127,28 @@ class FeatureContext:
             raise InsufficientDataError("timeline withheld")
         return self.rule_ctx.tweets
 
+    @property
+    def counts(self) -> TimelineCounts:
+        return self.rule_ctx.timeline_counts
+
     def need_graph(self) -> RelationshipGraph:
         if self.graph is None:
             raise InsufficientDataError("graph withheld")
         return self.graph
 
+    @cached_property
+    def neighbors(self) -> NeighborStats:
+        """The account's neighbor statistics, computed on first use."""
+        return neighbor_stats(self.account, self.need_graph())
+
 
 def _rule_flag(ruleset: str, index: int) -> Callable[[FeatureContext], float]:
+    rule = RuleId(ruleset, index)
+
     def fn(ctx: FeatureContext) -> float:
-        return float(evaluate_rule(RuleId(ruleset, index), ctx.rule_ctx).satisfied)
+        return float(evaluate_rule(rule, ctx.rule_ctx).satisfied)
 
     return fn
-
-
-def _api_tweets(ctx: FeatureContext) -> list[Tweet]:
-    return [t for t in ctx.timeline() if t.from_api]
-
-
-def _url_ratio(ctx: FeatureContext) -> float:
-    tweets = ctx.timeline()
-    if not tweets:
-        return 0.0
-    return sum(1 for t in tweets if t.num_urls >= 1) / len(tweets)
-
-
-def _api_ratio(ctx: FeatureContext) -> float:
-    tweets = ctx.timeline()
-    if not tweets:
-        return 0.0
-    return len(_api_tweets(ctx)) / len(tweets)
-
-
-def _api_url_ratio(ctx: FeatureContext) -> float:
-    api = _api_tweets(ctx)
-    if not api:
-        return 0.0
-    return sum(1 for t in api if t.num_urls >= 1) / len(api)
 
 
 _EXTRACTORS: dict[str, tuple[str, Callable[[FeatureContext], float]]] = {
@@ -216,21 +198,15 @@ _EXTRACTORS: dict[str, tuple[str, Callable[[FeatureContext], float]]] = {
     "repeats_same_tweet": ("timeline", _rule_flag("SB", 3)),
     "mostly_retweets": ("timeline", _rule_flag("SB", 4)),
     "mostly_links": ("timeline", _rule_flag("SB", 5)),
-    "num_retweets": (
-        "timeline",
-        lambda ctx: float(sum(1 for t in ctx.timeline() if t.is_retweet)),
-    ),
-    "num_url_tweets": (
-        "timeline",
-        lambda ctx: float(sum(1 for t in ctx.timeline() if t.num_urls >= 1)),
-    ),
+    "num_retweets": ("timeline", lambda ctx: float(ctx.counts.retweets)),
+    "num_url_tweets": ("timeline", lambda ctx: float(ctx.counts.urls)),
     "message_similarity": (
         "timeline",
         lambda ctx: float(message_similarity(ctx.timeline())),
     ),
-    "url_ratio": ("timeline", _url_ratio),
-    "api_ratio": ("timeline", _api_ratio),
-    "api_url_ratio": ("timeline", _api_url_ratio),
+    "url_ratio": ("timeline", lambda ctx: fraction(ctx.counts.urls, ctx.counts.tweets)),
+    "api_ratio": ("timeline", lambda ctx: fraction(ctx.counts.api, ctx.counts.tweets)),
+    "api_url_ratio": ("timeline", lambda ctx: fraction(ctx.counts.api_urls, ctx.counts.api)),
     "api_tweet_similarity": (
         "timeline",
         lambda ctx: float(api_tweet_similarity(ctx.timeline())),
@@ -240,19 +216,11 @@ _EXTRACTORS: dict[str, tuple[str, Callable[[FeatureContext], float]]] = {
         "graph",
         lambda ctx: bidirectional_link_ratio(ctx.account, ctx.need_graph()),
     ),
-    "avg_neighbor_followers": (
-        "graph",
-        lambda ctx: neighbor_stats(ctx.account, ctx.need_graph()).avg_neighbors_followers,
-    ),
-    "avg_neighbor_tweets": (
-        "graph",
-        lambda ctx: neighbor_stats(ctx.account, ctx.need_graph()).avg_neighbors_tweets,
-    ),
+    "avg_neighbor_followers": ("graph", lambda ctx: ctx.neighbors.avg_neighbors_followers),
+    "avg_neighbor_tweets": ("graph", lambda ctx: ctx.neighbors.avg_neighbors_tweets),
     "friends_to_median_neighbor_followers": (
         "graph",
-        lambda ctx: neighbor_stats(
-            ctx.account, ctx.need_graph()
-        ).friends_to_median_neighbors_followers,
+        lambda ctx: ctx.neighbors.friends_to_median_neighbors_followers,
     ),
 }
 

@@ -189,6 +189,11 @@ def prune(model: TrainedModel, strategy, seed: int = 0) -> TrainedModel:
     name, arg = strategy
     state: TreeState = model.state
     if name == "reduced_error":
+        if len(state.y) == 0:
+            raise LearnError(
+                "reduced_error pruning needs the training sample, which this model "
+                "does not carry (a model read from JSON keeps only its tree)"
+            )
         folds = int(arg) if arg is not None else 3
         root = reduced_error_prune(state.root, state.X, state.y, folds=folds, seed=seed)
     elif name == "subtree_raising":

@@ -20,6 +20,13 @@ class MetricError(ValueError):
 
 def as01(labels: Iterable) -> np.ndarray:
     """Map labels to the 0/1 encoding (fake/positive = 1)."""
+    if isinstance(labels, np.ndarray) and labels.ndim == 1 and labels.dtype.kind in "biuf":
+        y = labels.astype(np.float64)
+        bad = (y != 0.0) & (y != 1.0)
+        if bad.any():
+            item = labels[int(np.argmax(bad))]
+            raise MetricError(f"labels must be 0/1 or human/fake, got {item!r}")
+        return y
     out = []
     for item in labels:
         if isinstance(item, str):

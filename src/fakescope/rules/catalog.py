@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..corpus.errors import InsufficientDataError
-from ..corpus.model import is_web_source, normalize_source, strip_urls
-from .context import DUPLICATE_PICTURE_MIN, AccountContext
+from .context import DUPLICATE_PICTURE_MIN, PUNCTUATION, AccountContext
 
 CC = "CC"
 SOS = "SOS"
@@ -21,8 +20,6 @@ SB = "SB"
 
 MEANS_HUMAN = "satisfied-means-human"
 MEANS_FAKE = "satisfied-means-fake"
-
-PUNCTUATION = set(".,;:!?")
 
 #: x/0 with a positive numerator maps to this cap so ratios stay finite.
 RATIO_CAP = 1e9
@@ -35,6 +32,11 @@ def capped_ratio(numerator: float, denominator: float) -> float:
     if denominator > 0:
         return numerator / denominator
     return 0.0 if numerator == 0 else RATIO_CAP
+
+
+def fraction(count: int, total: int) -> float:
+    """count / total; 0 for an empty total (a timeline with no tweets)."""
+    return count / total if total else 0.0
 
 
 @dataclass(frozen=True)
@@ -71,16 +73,7 @@ class RuleDef:
     fn: Callable[[AccountContext], tuple[bool, Optional[float]]]
 
 
-def _timeline(ctx: AccountContext):
-    if ctx.tweets is None:
-        raise InsufficientDataError(
-            f"rule needs the timeline of {ctx.account.user_id}, but tweets were not loaded"
-        )
-    return ctx.tweets
-
-
-def _count_and_flag(values) -> tuple[bool, float]:
-    count = sum(1 for v in values if v)
+def _count_and_flag(count: int) -> tuple[bool, float]:
     return count > 0, float(count)
 
 
@@ -89,11 +82,7 @@ def account_age_days(ctx: AccountContext) -> float:
 
 
 def has_punctuation(text: str) -> bool:
-    return any(ch in PUNCTUATION for ch in text)
-
-
-def has_content_beyond_urls(text: str) -> bool:
-    return bool(strip_urls(text).strip())
+    return not PUNCTUATION.isdisjoint(text)
 
 
 # --- scoring rule set (satisfaction means human behavior) -------------------
@@ -128,7 +117,7 @@ def _cc_tweets_50(ctx):
 
 
 def _cc_geo(ctx):
-    return _count_and_flag(t.is_geolocalized for t in _timeline(ctx))
+    return _count_and_flag(ctx.timeline_counts.geo)
 
 
 def _cc_profile_url(ctx):
@@ -140,31 +129,28 @@ def _cc_favourites(ctx):
 
 
 def _cc_punctuation(ctx):
-    tweets = _timeline(ctx)
+    with_punct = ctx.text_counts.punctuation
     in_bio = has_punctuation(ctx.account.description or "")
-    with_punct = sum(1 for t in tweets if has_punctuation(t.text))
     return in_bio or with_punct > 0, float(with_punct)
 
 
 def _cc_hashtag(ctx):
-    return _count_and_flag(t.num_hashtags >= 1 for t in _timeline(ctx))
+    return _count_and_flag(ctx.timeline_counts.hashtag)
 
 
 def _source_rule(keyword: str):
     def fn(ctx):
-        return _count_and_flag(
-            keyword in normalize_source(t.source) for t in _timeline(ctx)
-        )
+        return _count_and_flag(ctx.timeline_counts.source_keywords[keyword])
 
     return fn
 
 
 def _cc_web(ctx):
-    return _count_and_flag(is_web_source(t.source) for t in _timeline(ctx))
+    return _count_and_flag(ctx.timeline_counts.web)
 
 
 def _cc_mention(ctx):
-    return _count_and_flag(t.num_mentions >= 1 for t in _timeline(ctx))
+    return _count_and_flag(ctx.timeline_counts.mention)
 
 
 def _cc_follower_friend_balance(ctx):
@@ -172,16 +158,16 @@ def _cc_follower_friend_balance(ctx):
 
 
 def _cc_not_only_urls(ctx):
-    return _count_and_flag(has_content_beyond_urls(t.text) for t in _timeline(ctx))
+    return _count_and_flag(ctx.text_counts.beyond_urls)
 
 
 def _cc_retweeted(ctx):
-    return _count_and_flag(t.retweet_count >= 1 for t in _timeline(ctx))
+    return _count_and_flag(ctx.timeline_counts.retweeted)
 
 
 def _cc_clients(ctx):
-    sources = {normalize_source(t.source) for t in _timeline(ctx)}
-    return len(sources) >= 2, float(len(sources))
+    clients = len(ctx.timeline_counts.sources)
+    return clients >= 2, float(clients)
 
 
 # --- blogger signals (satisfaction means bot behavior) ----------------------
@@ -198,14 +184,7 @@ def _sos_friends_followers_100(ctx):
 
 
 def _sos_same_sentence(ctx):
-    window = _timeline(ctx)[:20]
-    groups: dict[str, list] = {}
-    for t in window:
-        groups.setdefault(t.text.strip(), []).append(t)
-    for text, members in groups.items():
-        if text and len(members) >= 2 and all(t.num_mentions >= 1 for t in members):
-            return True, None
-    return False, None
+    return ctx.text_counts.same_sentence, None
 
 
 def _sos_duplicate_picture(ctx):
@@ -219,7 +198,7 @@ def _sos_duplicate_picture(ctx):
 
 
 def _sos_from_api(ctx):
-    return _count_and_flag(t.from_api for t in _timeline(ctx))
+    return _count_and_flag(ctx.timeline_counts.api)
 
 
 # --- fake-follower checks (satisfaction means fake behavior) ----------------
@@ -231,39 +210,25 @@ def _sb_friends_followers_50(ctx):
 
 
 def _sb_spam_phrases(ctx):
-    tweets = _timeline(ctx)
-    if not tweets:
-        return False, 0.0
-    phrases = tuple(p.lower() for p in ctx.spam_phrases)
-    hits = sum(1 for t in tweets if any(p in t.text.lower() for p in phrases))
-    fraction = hits / len(tweets)
-    return fraction > 0.30, fraction
+    share = fraction(ctx.text_counts.spam, ctx.timeline_counts.tweets)
+    return share > 0.30, share
 
 
 def _sb_repeated_tweets(ctx):
-    counts: dict[str, int] = {}
-    for t in _timeline(ctx):
-        text = t.text.strip()
-        if text:
-            counts[text] = counts.get(text, 0) + 1
-    top = max(counts.values(), default=0)
+    top = ctx.text_counts.top_repeat
     return top > 3, float(top)
 
 
 def _sb_mostly_retweets(ctx):
-    tweets = _timeline(ctx)
-    if not tweets:
-        return False, 0.0
-    fraction = sum(1 for t in tweets if t.is_retweet) / len(tweets)
-    return fraction > 0.90, fraction
+    counts = ctx.timeline_counts
+    share = fraction(counts.retweets, counts.tweets)
+    return share > 0.90, share
 
 
 def _sb_mostly_links(ctx):
-    tweets = _timeline(ctx)
-    if not tweets:
-        return False, 0.0
-    fraction = sum(1 for t in tweets if t.num_urls >= 1) / len(tweets)
-    return fraction > 0.90, fraction
+    counts = ctx.timeline_counts
+    share = fraction(counts.urls, counts.tweets)
+    return share > 0.90, share
 
 
 def _sb_never_tweeted(ctx):
@@ -342,14 +307,26 @@ ALL_RULE_IDS: tuple[RuleId, ...] = tuple(
 )
 
 
+_RULESET_IDS: dict[str, tuple[RuleId, ...]] = {
+    ruleset: tuple(r for r in ALL_RULE_IDS if r.ruleset == ruleset) for ruleset in (CC, SOS, SB)
+}
+
+
 def rule_ids(ruleset: str) -> tuple[RuleId, ...]:
-    return tuple(r for r in ALL_RULE_IDS if r.ruleset == ruleset)
+    return _RULESET_IDS.get(ruleset, ())
 
 
 def evaluate_rule(rule: RuleId, ctx: AccountContext) -> RuleOutcome:
-    rdef = RULES[(rule.ruleset, rule.index)]
-    satisfied, attribute = rdef.fn(ctx)
-    return RuleOutcome(rule=rule, satisfied=bool(satisfied), attribute_value=attribute)
+    """The rule's outcome on ``ctx``, computed once and then read from
+    ``ctx.outcomes``."""
+    key = (rule.ruleset, rule.index)
+    outcome = ctx.outcomes.get(key)
+    if outcome is None:
+        satisfied, attribute = RULES[key].fn(ctx)
+        outcome = ctx.outcomes[key] = RuleOutcome(
+            rule=rule, satisfied=bool(satisfied), attribute_value=attribute
+        )
+    return outcome
 
 
 def describe(rule: RuleId) -> str:

@@ -4,15 +4,134 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Iterator, Optional
+from functools import cached_property
+from typing import Iterator, Optional, Sequence
 
-from ..corpus.model import Account, LabeledDataset, Tweet
+from ..corpus.errors import InsufficientDataError
+from ..corpus.model import WEB_SOURCES, Account, LabeledDataset, Tweet, normalize_source, strip_urls
 
 DEFAULT_SPAM_PHRASES = ("diet", "make money", "work from home")
 
 #: Accounts sharing one picture fingerprint with at least this many dataset
 #: accounts (themselves included) count as using a duplicate picture.
 DUPLICATE_PICTURE_MIN = 3
+
+PUNCTUATION = frozenset(".,;:!?")
+
+#: Client keywords whose tweets the scoring rules count.
+SOURCE_KEYWORDS = ("iphone", "android", "foursquare", "instagram")
+
+#: Newest tweets the same-sentence rule looks at.
+SAME_SENTENCE_WINDOW = 20
+
+
+@dataclass(frozen=True)
+class TimelineCounts:
+    """Counts of a timeline's tweets by their fields; ``sources`` maps each
+    normalized source to its tweets."""
+
+    tweets: int
+    geo: int
+    hashtag: int
+    mention: int
+    retweeted: int
+    retweets: int
+    urls: int
+    web: int
+    api: int
+    api_urls: int
+    sources: dict[str, int]
+    source_keywords: dict[str, int]
+
+
+def timeline_counts(tweets: Sequence[Tweet]) -> TimelineCounts:
+    """Every count of ``TimelineCounts`` in one pass over ``tweets``."""
+    geo = hashtag = mention = retweeted = retweets = urls = api_urls = 0
+    sources: dict[str, int] = {}
+    for t in tweets:
+        if t.is_geolocalized:
+            geo += 1
+        if t.num_hashtags >= 1:
+            hashtag += 1
+        if t.num_mentions >= 1:
+            mention += 1
+        if t.retweet_count >= 1:
+            retweeted += 1
+        if t.is_retweet:
+            retweets += 1
+        if t.num_urls >= 1:
+            urls += 1
+        source = normalize_source(t.source)
+        sources[source] = sources.get(source, 0) + 1
+        if source not in WEB_SOURCES and t.num_urls >= 1:
+            api_urls += 1
+    web = sum(count for source, count in sources.items() if source in WEB_SOURCES)
+    return TimelineCounts(
+        tweets=len(tweets),
+        geo=geo,
+        hashtag=hashtag,
+        mention=mention,
+        retweeted=retweeted,
+        retweets=retweets,
+        urls=urls,
+        web=web,
+        api=len(tweets) - web,
+        api_urls=api_urls,
+        sources=sources,
+        source_keywords={
+            keyword: sum(count for source, count in sources.items() if keyword in source)
+            for keyword in SOURCE_KEYWORDS
+        },
+    )
+
+
+@dataclass(frozen=True)
+class TextCounts:
+    """What the rules read of a timeline's texts: tweets with punctuation,
+    with content beyond URLs and with a spam phrase, the most times one
+    text was sent, and whether one of the newest 20 was sent at least twice,
+    each time mentioning someone."""
+
+    punctuation: int
+    beyond_urls: int
+    spam: int
+    top_repeat: int
+    same_sentence: bool
+
+
+def text_counts(tweets: Sequence[Tweet], spam_phrases: Sequence[str]) -> TextCounts:
+    """Every count of ``TextCounts`` in one pass over ``tweets`` (newest first)."""
+    phrases = tuple(p.lower() for p in spam_phrases)
+    punctuation = beyond_urls = spam = 0
+    repeats: dict[str, int] = {}
+    for t in tweets:
+        text = t.text
+        if not PUNCTUATION.isdisjoint(text):
+            punctuation += 1
+        if (strip_urls(text) if "http" in text else text).strip():
+            beyond_urls += 1
+        lower = text.lower()
+        for phrase in phrases:
+            if phrase in lower:
+                spam += 1
+                break
+        stripped = text.strip()
+        if stripped:
+            repeats[stripped] = repeats.get(stripped, 0) + 1
+    sent: dict[str, int] = {}
+    all_mention: dict[str, bool] = {}
+    for t in tweets[:SAME_SENTENCE_WINDOW]:
+        text = t.text.strip()
+        if text:
+            sent[text] = sent.get(text, 0) + 1
+            all_mention[text] = all_mention.get(text, True) and t.num_mentions >= 1
+    return TextCounts(
+        punctuation=punctuation,
+        beyond_urls=beyond_urls,
+        spam=spam,
+        top_repeat=max(repeats.values(), default=0),
+        same_sentence=any(count >= 2 and all_mention[text] for text, count in sent.items()),
+    )
 
 
 @dataclass(frozen=True)
@@ -30,6 +149,29 @@ class AccountContext:
     reference_time: datetime
     fingerprint_counts: Optional[dict[str, int]] = None
     spam_phrases: tuple[str, ...] = DEFAULT_SPAM_PHRASES
+
+    def _timeline(self) -> tuple[Tweet, ...]:
+        if self.tweets is None:
+            raise InsufficientDataError(
+                f"rule needs the timeline of {self.account.user_id}, but tweets were not loaded"
+            )
+        return self.tweets
+
+    @cached_property
+    def timeline_counts(self) -> TimelineCounts:
+        """Counts of the timeline's tweets, computed on first use."""
+        return timeline_counts(self._timeline())
+
+    @cached_property
+    def text_counts(self) -> TextCounts:
+        """Counts of the timeline's texts, computed on first use."""
+        return text_counts(self._timeline(), self.spam_phrases)
+
+    @cached_property
+    def outcomes(self) -> dict:
+        """Rule outcomes evaluated so far, by (ruleset, index); filled by
+        ``evaluate_rule``."""
+        return {}
 
 
 def picture_counts(dataset: LabeledDataset) -> dict[str, int]:

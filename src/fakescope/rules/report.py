@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
+
+import numpy as np
 
 from ..corpus.model import FAKE, HUMAN, LabeledDataset
 from ..metrics import ConfusionMatrix, MetricError, info_gain, pearson, summarize
 from .catalog import ALL_RULE_IDS, CC, MEANS_HUMAN, RuleId, describe, evaluate_rule, rule_ids
-from .context import DEFAULT_SPAM_PHRASES, iter_contexts
+from .context import DEFAULT_SPAM_PHRASES, AccountContext, iter_contexts
 from .scoring import CcScore, cc_classify
 
 RULESETS = ("CC", "SOS", "SB")
@@ -49,15 +51,24 @@ def run_ruleset(
     ruleset: str,
     dataset: LabeledDataset,
     spam_phrases: tuple[str, ...] = DEFAULT_SPAM_PHRASES,
+    *,
+    contexts: Optional[Sequence[AccountContext]] = None,
 ) -> RulesetRun:
-    """One verdict (scoring rules) or per-rule booleans per account."""
+    """One verdict (scoring rules) or per-rule booleans per account.
+
+    ``contexts``, a list of the dataset's contexts from ``iter_contexts``,
+    lets several runs and reports over one dataset share each account's
+    timeline aggregate and rule outcomes; they carry their own spam phrases.
+    """
     ruleset = ruleset.upper()
     if ruleset not in RULESETS:
         raise ValueError(f"unknown ruleset {ruleset!r}")
     verdicts: dict[str, str] = {}
     outcomes: dict[str, dict[int, bool]] = {}
     scores: dict[str, CcScore] = {}
-    for ctx in iter_contexts(dataset, spam_phrases):
+    if contexts is None:
+        contexts = iter_contexts(dataset, spam_phrases)
+    for ctx in contexts:
         uid = ctx.account.user_id
         if ruleset == CC:
             score = cc_classify(ctx)
@@ -104,37 +115,40 @@ def rule_report(
     dataset: LabeledDataset,
     rules: Optional[tuple[RuleId, ...]] = None,
     spam_phrases: tuple[str, ...] = DEFAULT_SPAM_PHRASES,
+    *,
+    contexts: Optional[Sequence[AccountContext]] = None,
 ) -> list[RuleEvaluation]:
     """Evaluate every rule as a one-rule classifier over a labeled dataset.
 
     Satisfied-means-human rules predict fake on failure and vice versa. The
     starred measures use the rule's underlying attribute where one exists,
-    falling back to the 0/1 outcome for purely boolean rules.
+    falling back to the 0/1 outcome for purely boolean rules. ``contexts``
+    is as for ``run_ruleset``.
     """
     rules = rules or ALL_RULE_IDS
     labeled = [a for a in dataset.accounts.values() if a.label in (HUMAN, FAKE)]
     n_fake = sum(1 for a in labeled if a.label == FAKE)
     if n_fake == 0 or n_fake == len(labeled):
         raise MetricError("rule_report needs both classes present")
-    contexts = [
-        ctx for ctx in iter_contexts(dataset, spam_phrases) if ctx.account.label in (HUMAN, FAKE)
-    ]
-    y = [1.0 if ctx.account.label == FAKE else 0.0 for ctx in contexts]
+    if contexts is None:
+        contexts = iter_contexts(dataset, spam_phrases)
+    contexts = [ctx for ctx in contexts if ctx.account.label in (HUMAN, FAKE)]
+    y = np.array([ctx.account.label == FAKE for ctx in contexts], dtype=np.float64)
 
     report: list[RuleEvaluation] = []
     for rule in rules:
         outcomes = [evaluate_rule(rule, ctx) for ctx in contexts]
-        outputs = [1.0 if o.satisfied else 0.0 for o in outcomes]
-        if rule.direction == MEANS_HUMAN:
-            predicted = [1.0 - value for value in outputs]
-        else:
-            predicted = outputs
+        outputs = np.array([o.satisfied for o in outcomes], dtype=np.float64)
+        predicted = 1.0 - outputs if rule.direction == MEANS_HUMAN else outputs
         cm = ConfusionMatrix.from_predictions(y, predicted)
         base = summarize(cm)
-        attributes = [
-            o.attribute_value if o.attribute_value is not None else float(o.satisfied)
-            for o in outcomes
-        ]
+        attributes = np.array(
+            [
+                o.attribute_value if o.attribute_value is not None else float(o.satisfied)
+                for o in outcomes
+            ],
+            dtype=np.float64,
+        )
         has_attribute = any(o.attribute_value is not None for o in outcomes)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # constant rules are reported, not suppressed

@@ -45,8 +45,10 @@ class CcScore:
 
 def api_only(ctx: AccountContext) -> bool:
     """True when the account tweeted and never through the website."""
-    tweets = ctx.tweets or ()
-    return bool(tweets) and all(t.from_api for t in tweets)
+    if not ctx.tweets:
+        return False
+    counts = ctx.timeline_counts
+    return counts.api == counts.tweets
 
 
 def cc_classify(ctx: AccountContext) -> CcScore:

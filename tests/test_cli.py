@@ -50,6 +50,11 @@ class TestExitCodes:
     def test_success(self, tmp_path):
         assert run(["cost", "--followers", "0"]) == 0
 
+    def test_sweep_has_no_jobs_flag(self, corpus_dir, tmp_path, capsys):
+        assert run(["sweep", corpus_dir, "--target-size", "100", "--jobs", "2",
+                    "--out", tmp_path]) == 1
+        assert "usage error" in capsys.readouterr().err
+
 
 class TestSynth:
     def test_same_seed_identical_trees(self, tmp_path):
@@ -89,6 +94,17 @@ class TestPipelineCommands:
             assert (out / name).exists()
         header = (out / "rule_report.csv").read_text().splitlines()[0]
         assert header.startswith("rule_id,description,accuracy,precision,recall")
+
+    def test_json_corpus_gives_the_csv_results(self, corpus_dir, tmp_path):
+        json_dir = tmp_path / "json-corpus"
+        assert run(["synth", "--preset", "paper-like", "--humans", "80", "--fakes", "80",
+                    "--seed", "7", "--format", "json", "--out", json_dir]) == 0
+        assert (json_dir / "users.json").exists()
+        for name, src in (("csv", corpus_dir), ("json", json_dir)):
+            assert run(["rules", src, "--report", "--out", tmp_path / name / "rules"]) == 0
+            assert run(["features", src, "--out", tmp_path / name / "features"]) == 0
+        assert tree_bytes(tmp_path / "json") == tree_bytes(tmp_path / "csv")
+        assert len(tree_bytes(tmp_path / "csv")) == 5  # three verdicts, report, matrix
 
     def test_features_csv(self, corpus_dir, tmp_path):
         out = tmp_path / "feats"

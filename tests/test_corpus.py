@@ -1,6 +1,8 @@
 """Corpus layer: ingestion, validation, synthesis, resampling, folds."""
 
 import filecmp
+import json
+import shutil
 from datetime import timedelta
 
 import pytest
@@ -123,6 +125,20 @@ class TestLoad:
         assert loaded.account_ids == subset.account_ids
         assert sorted(loaded.graph.edges) == sorted(subset.graph.edges)
 
+    def test_each_file_parsed_by_its_extension(self, tmp_path, paper_like_small):
+        subset = paper_like_small.subset(paper_like_small.account_ids[:40])
+        save_dataset(subset, tmp_path / "csv")
+        save_dataset(subset, tmp_path / "mixed", fmt="json")
+        (tmp_path / "mixed" / "users.json").rename(tmp_path / "mixed" / "users.jsonl")
+        (tmp_path / "mixed" / "edges.json").unlink()
+        shutil.copy(tmp_path / "csv" / "edges.csv", tmp_path / "mixed")
+        expected = load_dataset(tmp_path / "csv", fmt="json")
+        for fmt in ("csv", "json"):
+            loaded = load_dataset(tmp_path / "mixed", fmt=fmt)
+            assert loaded.accounts == expected.accounts
+            assert loaded.tweets == expected.tweets
+            assert loaded.graph.edges == expected.graph.edges
+
     def test_csv_roundtrip_semantically_equal(self, tmp_path, paper_like_small):
         subset = paper_like_small.subset(paper_like_small.account_ids[:60])
         save_dataset(subset, tmp_path / "a", fmt="csv")
@@ -134,6 +150,70 @@ class TestLoad:
         save_dataset(loaded, tmp_path / "b", fmt="csv")
         for name in ("users.csv", "tweets.csv", "edges.csv"):
             assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name, shallow=False)
+
+
+TWEETS_HEADER = (
+    "id,user_id,created_at,text,source,is_retweet,retweet_count,geo,"
+    "num_hashtags,num_mentions,num_urls"
+)
+GOOD_TWEET = ["t1", "u1", "2014-02-01T00:00:00Z", "hi", "web", "0", "0", "0", "0", "0", "0"]
+
+
+def write_tables(directory, fmt, users, tweets):
+    """Rows are cell lists in header order; a short list is a short row (csv)
+    or an object missing the trailing fields (JSON lines)."""
+    for name, header, rows in (("users", USERS_HEADER, users), ("tweets", TWEETS_HEADER, tweets)):
+        columns = header.split(",")
+        if fmt == "csv":
+            text = "".join(",".join(row) + "\n" for row in [columns, *rows])
+        else:
+            text = "".join(json.dumps(dict(zip(columns, row))) + "\n" for row in rows)
+        (directory / f"{name}.{fmt}").write_text(text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+class TestLoadRows:
+    """Cell parsing and the file/line/column/reason of every row error."""
+
+    def test_short_row_takes_defaults(self, tmp_path, fmt):
+        write_tables(
+            tmp_path,
+            fmt,
+            [["u1", "sn_u1", "Sam", "2014-01-01T00:00:00Z", "100"]],
+            [["t1", "u1", "2014-02-01T00:00:00Z", "see #a @b"]],
+        )
+        ds = load_dataset(tmp_path, fmt=fmt)
+        account = ds.accounts["u1"]
+        assert (account.followers_count, account.friends_count, account.favourites_count) == (
+            100, 0, 0)
+        assert (account.url, account.description, account.label) == (None, None, None)
+        assert account.default_profile_image is False
+        tweet = ds.timeline("u1")[0]
+        assert (tweet.source, tweet.is_retweet, tweet.retweet_count) == ("", False, 0)
+        assert (tweet.num_hashtags, tweet.num_mentions, tweet.num_urls) == (1, 1, 0)
+
+    @pytest.mark.parametrize(
+        "bad, column, reasons",
+        [
+            (GOOD_TWEET[:2], "created_at",
+             {"csv": "empty value", "json": "missing required field"}),
+            (GOOD_TWEET[:2] + [""], "created_at", {"csv": "empty value", "json": "empty value"}),
+            (GOOD_TWEET[:6] + ["x"], "retweet_count",
+             dict.fromkeys(("csv", "json"), "invalid literal for int() with base 10: 'x'")),
+            (GOOD_TWEET[:5] + ["maybe"], "is_retweet",
+             dict.fromkeys(("csv", "json"), "not a 0/1 flag: 'maybe'")),
+            (GOOD_TWEET[:2] + ["yesterday"], "created_at",
+             dict.fromkeys(("csv", "json"), "Invalid isoformat string: 'yesterday'")),
+        ],
+        ids=["short", "blank", "bad-int", "bad-bool", "bad-timestamp"],
+    )
+    def test_bad_tweet_cell_named(self, tmp_path, fmt, bad, column, reasons):
+        write_tables(tmp_path, fmt, [user_row("u1").split(",")], [GOOD_TWEET, ["t2"] + bad[1:]])
+        with pytest.raises(MalformedRowError) as err:
+            load_dataset(tmp_path, fmt=fmt)
+        line = 3 if fmt == "csv" else 2  # the csv header is line 1
+        assert (err.value.file, err.value.line, err.value.column, err.value.reason) == (
+            str(tmp_path / f"tweets.{fmt}"), line, column, reasons[fmt])
 
 
 class TestValidate:

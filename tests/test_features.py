@@ -1,15 +1,22 @@
 """Feature catalog shape, extraction formulas, similarity, neighbor stats."""
 
+import hashlib
 from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from fakescope.cli import main
 from fakescope.corpus import (
     DanglingReferenceError,
     InsufficientDataError,
     NeighborSummary,
     RelationshipGraph,
+    SynthConfig,
+    save_dataset,
+    synthesize,
 )
 from fakescope.features import (
     CLASS_A_SPECS,
@@ -184,6 +191,18 @@ class TestMessageSimilarity:
         assert not message_similarity([])
 
 
+@given(st.lists(st.lists(st.sampled_from(["a", "b", "c", "A", "d"]), max_size=7), max_size=18),
+       st.integers(1, 20), st.integers(1, 4))
+def test_similarity_matches_pairwise_scan(texts, window, run_length):
+    tweets = [make_tweet("u", i, text=" ".join(words)) for i, words in enumerate(texts)]
+    runs = []
+    for t in tweets[:window]:
+        words = t.text.lower().split()
+        runs.append({tuple(words[i:i + run_length]) for i in range(len(words) - run_length + 1)})
+    expected = any(runs[i] & runs[j] for j in range(len(runs)) for i in range(j))
+    assert message_similarity(tweets, window=window, run_length=run_length) == expected
+
+
 class TestApiSimilarity:
     def test_web_duplicates_do_not_count(self):
         tweets = [
@@ -250,3 +269,18 @@ class TestNeighborStats:
 
     def test_bilink_ratio_empty(self):
         assert bidirectional_link_ratio(make_account("u"), RelationshipGraph([], {})) == 0.0
+
+
+# sha256 of the CLI's feature matrix on a fixed corpus, recorded before the
+# features read per-account timeline aggregates
+GOLDEN_FEATURES_CSV = "dffa06fac26120f15a5afcdf04b938b5d8311031a0f5bfe645d6785422e120c7"
+
+
+def test_features_csv_is_byte_identical_to_golden(tmp_path):
+    save_dataset(synthesize(SynthConfig.paper_like(seed=13, n_humans=60, n_fakes=60)),
+                 tmp_path / "corpus")
+    out = tmp_path / "features"
+    assert main(["features", str(tmp_path / "corpus"), "--class", "all",
+                 "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "features.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN_FEATURES_CSV

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from fakescope.metrics import (
     ConfusionMatrix,
     MetricError,
+    as01,
     entropy,
     info_gain,
     mcc,
@@ -74,6 +76,35 @@ def oracle_pearson(values, labels):
 
 
 # --- summarize ---------------------------------------------------------------
+
+
+class TestAs01:
+    """A numeric array is encoded as the element-by-element loop encodes its items."""
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            np.array([1.0, 0.0, 1.0]),
+            np.array([True, False]),
+            np.array([0, 1, 1], dtype=np.int8),
+            np.array([], dtype=np.float64),
+        ],
+    )
+    def test_array_matches_item_loop(self, array):
+        y = as01(array)
+        assert y.dtype == np.float64
+        assert y.tolist() == as01(list(array)).tolist()
+        assert y is not array
+
+    @pytest.mark.parametrize(
+        "array", [np.array([0.0, 0.5, 2.0]), np.array([1.0, math.nan]), np.array([0, 2])]
+    )
+    def test_bad_array_names_its_first_bad_item(self, array):
+        with pytest.raises(MetricError) as loop_err:
+            as01(list(array))
+        with pytest.raises(MetricError) as array_err:
+            as01(array)
+        assert str(array_err.value) == str(loop_err.value)
 
 
 class TestSummarize:

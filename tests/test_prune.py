@@ -3,12 +3,18 @@
 import numpy as np
 import pytest
 
+from fakescope.corpus import SynthConfig, synthesize
+from fakescope.features import CLASS_A_SPECS, extract
 from fakescope.learn import (
     LearnError,
     TreeNode,
     grow_tree,
+    model_from_json,
+    model_to_json,
     pessimistic_prune,
+    prune,
     reduced_error_prune,
+    train,
     tree_predict_proba,
     tree_stats,
 )
@@ -139,3 +145,23 @@ class TestPessimistic:
     def test_bad_confidence_rejected(self):
         with pytest.raises(LearnError):
             pessimistic_prune(leaf(3, 1), confidence=0.9)
+
+
+class TestLoadedModel:
+    """A model read back from JSON keeps its tree but not its training sample."""
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        ds = synthesize(SynthConfig.paper_like(seed=5, n_humans=60, n_fakes=60))
+        return train("dt", extract(ds, CLASS_A_SPECS), seed=2)
+
+    def test_reduced_error_names_the_missing_sample(self, trained):
+        loaded = model_from_json(model_to_json(trained))
+        with pytest.raises(LearnError, match="training sample"):
+            prune(loaded, "reduced_error")
+
+    def test_subtree_raising_matches_the_in_memory_model(self, trained):
+        loaded = model_from_json(model_to_json(trained))
+        strategy = ("subtree_raising", 0.25)
+        expected = prune(trained, strategy).state.root.to_dict()
+        assert prune(loaded, strategy).state.root.to_dict() == expected

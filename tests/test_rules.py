@@ -1,8 +1,14 @@
 """Rule catalog, scoring algorithm, ruleset runs, and the per-rule report."""
 
-import pytest
+import hashlib
+import re
 
-from fakescope.corpus import InsufficientDataError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fakescope.cli import main
+from fakescope.corpus import InsufficientDataError, SynthConfig, save_dataset, synthesize
 from fakescope.metrics import MetricError
 from fakescope.rules import (
     ALL_RULE_IDS,
@@ -15,6 +21,7 @@ from fakescope.rules import (
     rule_report,
     run_ruleset,
 )
+from fakescope.rules.context import text_counts, timeline_counts
 
 from conftest import REF, make_account, make_dataset, make_tweet
 
@@ -188,6 +195,68 @@ class TestEvaluateRule:
             assert not evaluate_rule(RuleId("SB", index), ctx).satisfied
 
 
+# --- the one-pass timeline counts against per-question scans ----------------
+
+_URL = re.compile(r"https?://\S*")
+_WORDS = ["http://x.co/a", "https://y", "http", "xhttp://q", "#tag", "@bob", ".", "!",
+          "diet", "make money", "Work From Home", "one", "two", "  "]
+_SOURCES = ["web", " Web ", "TWITTER.COM", "iPhone", "twitter for android", "foursquare",
+            "Instagram", "api", "", "iphone android"]
+
+
+@st.composite
+def timelines(draw):
+    n = draw(st.integers(0, 30))
+    texts = draw(st.lists(st.lists(st.sampled_from(_WORDS), max_size=6), min_size=n, max_size=n))
+    tweets = []
+    for i, words in enumerate(texts):
+        text = " ".join(words)
+        if tweets and draw(st.booleans()):
+            text = tweets[draw(st.integers(0, len(tweets) - 1))].text  # repeats
+        tweets.append(make_tweet(
+            "u", i, text=text, source=draw(st.sampled_from(_SOURCES)),
+            is_retweet=draw(st.booleans()), retweet_count=draw(st.sampled_from([0, 2])),
+            is_geolocalized=draw(st.booleans()), num_hashtags=draw(st.integers(0, 1)),
+            num_mentions=draw(st.integers(0, 1)), num_urls=draw(st.integers(0, 1)),
+        ))
+    return tuple(tweets)
+
+
+@settings(max_examples=100, deadline=None)
+@given(timelines(), st.sampled_from([("diet", "make money"), ("Bot", "", "HTTP"), ()]))
+def test_timeline_and_text_counts_match_per_question_scans(tweets, phrases):
+    counts = timeline_counts(tweets)
+    sources = [t.source.strip().lower() for t in tweets]
+    api = [t for t, s in zip(tweets, sources) if s not in ("web", "twitter.com")]
+    assert counts.tweets == len(tweets)
+    assert counts.geo == sum(t.is_geolocalized for t in tweets)
+    assert counts.hashtag == sum(t.num_hashtags >= 1 for t in tweets)
+    assert counts.mention == sum(t.num_mentions >= 1 for t in tweets)
+    assert counts.retweeted == sum(t.retweet_count >= 1 for t in tweets)
+    assert counts.retweets == sum(t.is_retweet for t in tweets)
+    assert counts.urls == sum(t.num_urls >= 1 for t in tweets)
+    assert counts.api == len(api) == len(tweets) - counts.web
+    assert counts.api_urls == sum(t.num_urls >= 1 for t in api)
+    assert set(counts.sources) == set(sources)
+    for keyword in ("iphone", "android", "foursquare", "instagram"):
+        assert counts.source_keywords[keyword] == sum(keyword in s for s in sources)
+
+    text = text_counts(tweets, phrases)
+    lowered = [p.lower() for p in phrases]
+    window = {}
+    for t in tweets[:20]:
+        window.setdefault(t.text.strip(), []).append(t)
+    repeats = [t.text.strip() for t in tweets if t.text.strip()]
+    assert text.punctuation == sum(any(c in ".,;:!?" for c in t.text) for t in tweets)
+    assert text.beyond_urls == sum(bool(_URL.sub(" ", t.text).strip()) for t in tweets)
+    assert text.spam == sum(any(p in t.text.lower() for p in lowered) for t in tweets)
+    assert text.top_repeat == max((repeats.count(r) for r in repeats), default=0)
+    assert text.same_sentence == any(
+        text and len(group) >= 2 and all(t.num_mentions >= 1 for t in group)
+        for text, group in window.items()
+    )
+
+
 class TestCcClassify:
     def test_all_satisfied(self):
         score = cc_classify(all_satisfied_context())
@@ -336,3 +405,27 @@ class TestRuleReport:
         # follower and tweet thresholds are strong signals on this corpus
         assert strong["CC-05"] > 0.6
         assert strong["CC-07"] > 0.6
+
+
+# sha256 of the CLI's rules artifacts on a fixed corpus, recorded before the
+# rules read per-account timeline aggregates
+GOLDEN_RULES = {
+    "verdicts_cc.csv":
+        "cdd2ef37a6bf951a568ec2097c5dd34755814dd2f05c1d1c9d578af1ad677923",
+    "verdicts_sos.csv":
+        "78709c292528356a20f09e4d3bdff2ddc1e084874a1d7e74d4e3da60cb541fdf",
+    "verdicts_sb.csv":
+        "35e34b5c2dfe648d26d2d9fcab1dc6ddc0b75825b5287223b253157c818bdeb3",
+    "rule_report.csv":
+        "625a1b1cd0b151059be0aa2a1edbf674111a4ff365cb53a92e1a2512124bf76b",
+}
+
+
+def test_rules_artifacts_are_byte_identical_to_golden(tmp_path):
+    save_dataset(synthesize(SynthConfig.paper_like(seed=13, n_humans=60, n_fakes=60)),
+                 tmp_path / "corpus")
+    out = tmp_path / "rules"
+    assert main(["rules", str(tmp_path / "corpus"), "--report", "--out", str(out)]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in GOLDEN_RULES}
+    assert digests == GOLDEN_RULES
