@@ -116,7 +116,12 @@ def _manifest(command: str, params: dict, seed: Optional[int]) -> RunManifest:
 seed_option = click.option("--seed", type=int, default=None, help="Master seed (default: $FAKESCOPE_SEED or 0).")
 out_option = click.option("--out", "out_dir", type=click.Path(), required=True, help="Output directory.")
 format_option = click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-jobs_option = click.option("--jobs", type=int, default=1, help="Worker bound; results are independent of it.")
+jobs_option = click.option(
+    "--jobs",
+    type=click.IntRange(min=1),
+    default=1,
+    help="Upper bound on workers (at least 1); fits run one at a time, which meets any bound.",
+)
 reference_time_option = click.option(
     "--reference-time",
     "reference_time",

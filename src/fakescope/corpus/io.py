@@ -169,6 +169,14 @@ def _field(path: Path, line: int, column: str, raw: Optional[str], parser, defau
         raise MalformedRowError(str(path), line, column, str(exc)) from exc
 
 
+def _id_field(path: Path, line: int, column: str, raw: Optional[str]) -> str:
+    """A required identifier, stripped; a missing or blank cell is an error."""
+    value = raw.strip() if raw else ""
+    if not value:
+        raise MalformedRowError(str(path), line, column, "empty value")
+    return value
+
+
 def _int_field(path: Path, line: int, column: str, raw: Optional[str], default=None) -> int:
     try:
         return int(raw)  # the common case; int() ignores the whitespace strip() would remove
@@ -238,7 +246,7 @@ def load_dataset(
         uid, screen_name, name, created_at, followers, friends, statuses, listed, favourites,
         url, location, description, default_image, fingerprint, label,
     ) in _rows(users_path, fmt, USER_COLUMNS, ["id", "screen_name", "created_at"]):
-        uid = str(uid).strip()
+        uid = _id_field(users_path, line, "id", uid)
         if uid in accounts:
             raise DuplicateIdError(f"{users_path}: duplicate user_id {uid!r}")
         label = _optional(label)
@@ -246,7 +254,7 @@ def load_dataset(
             raise MalformedRowError(str(users_path), line, "label", f"unknown label {label!r}")
         accounts[uid] = Account(
             user_id=uid,
-            screen_name=str(screen_name).strip(),
+            screen_name=_id_field(users_path, line, "screen_name", screen_name),
             name=name or "",
             created_at=_field(users_path, line, "created_at", created_at, parse_timestamp),
             followers_count=_int_field(users_path, line, "followers_count", followers, 0),
@@ -274,11 +282,11 @@ def load_dataset(
         for line, (
             tid, uid, created_at, text, source, retweet, retweets, geo, *entity_cells
         ) in _rows(tweets_path, fmt, TWEET_COLUMNS, ["id", "user_id", "created_at"]):
-            tid = str(tid).strip()
+            tid = _id_field(tweets_path, line, "id", tid)
             if tid in seen_tweets:
                 raise DuplicateIdError(f"{tweets_path}: duplicate tweet id {tid!r}")
             seen_tweets.add(tid)
-            uid = str(uid).strip()
+            uid = _id_field(tweets_path, line, "user_id", uid)
             if uid not in accounts:
                 dangling.append(tid)
                 continue
@@ -314,7 +322,7 @@ def load_dataset(
         for line, (nid, followers, statuses) in _rows(
             neighbors_path, fmt, NEIGHBOR_COLUMNS, NEIGHBOR_COLUMNS
         ):
-            nid = str(nid).strip()
+            nid = _id_field(neighbors_path, line, "id", nid)
             if nid in neighbor_summaries:
                 raise DuplicateIdError(f"{neighbors_path}: duplicate neighbor id {nid!r}")
             neighbor_summaries[nid] = NeighborSummary(
@@ -326,7 +334,10 @@ def load_dataset(
     edges_path = paths["edges"]
     if edges_path is not None and edges_path.exists():
         for line, (src, dst) in _rows(edges_path, fmt, EDGE_COLUMNS, EDGE_COLUMNS):
-            edge = (str(src).strip(), str(dst).strip())
+            edge = (
+                _id_field(edges_path, line, "follower_id", src),
+                _id_field(edges_path, line, "followed_id", dst),
+            )
             if edge[0] == edge[1]:
                 raise MalformedRowError(str(edges_path), line, "followed_id", "self-loop")
             if edge in edges:

@@ -61,9 +61,6 @@ class FoldPlan:
         train = tuple(uid for j, fold in enumerate(self.folds) if j != i for uid in fold)
         return train, test
 
-    def all_ids(self) -> tuple[str, ...]:
-        return tuple(uid for fold in self.folds for uid in fold)
-
 
 def split_folds(dataset: LabeledDataset, k: int, seed: int = 0) -> FoldPlan:
     """Disjoint stratified folds covering the dataset, deterministic per seed."""

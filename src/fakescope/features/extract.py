@@ -28,7 +28,7 @@ from ..rules.catalog import (
     fraction,
 )
 from ..rules.context import AccountContext, TimelineCounts, picture_counts
-from .catalog import FeatureSpec
+from .catalog import CLASS_A, CLASS_B, CLASS_C, FeatureSpec, by_name
 
 SIMILARITY_WINDOW = 15
 SIMILARITY_RUN = 4
@@ -151,77 +151,75 @@ def _rule_flag(ruleset: str, index: int) -> Callable[[FeatureContext], float]:
     return fn
 
 
-_EXTRACTORS: dict[str, tuple[str, Callable[[FeatureContext], float]]] = {
+#: The data each cost class reads: A the profile, B the timeline, C the graph.
+_REQUIREMENTS = {CLASS_A: "profile", CLASS_B: "timeline", CLASS_C: "graph"}
+
+_FUNCTIONS: dict[str, Callable[[FeatureContext], float]] = {
     # Class A: profile only
-    "friends_followers_sq_ratio": (
-        "profile",
-        lambda ctx: capped_ratio(ctx.account.friends_count, ctx.account.followers_count**2),
+    "friends_followers_sq_ratio": lambda ctx: capped_ratio(
+        ctx.account.friends_count, ctx.account.followers_count**2
     ),
-    "age_days": ("profile", lambda ctx: account_age_days(ctx.rule_ctx)),
-    "statuses_count": ("profile", lambda ctx: float(ctx.account.statuses_count)),
-    "has_name": ("profile", _rule_flag("CC", 1)),
-    "friends_count": ("profile", lambda ctx: float(ctx.account.friends_count)),
-    "has_profile_url": ("profile", _rule_flag("CC", 9)),
-    "following_rate": (
-        "profile",
-        lambda ctx: capped_ratio(ctx.account.friends_count, account_age_days(ctx.rule_ctx)),
+    "age_days": lambda ctx: account_age_days(ctx.rule_ctx),
+    "statuses_count": lambda ctx: float(ctx.account.statuses_count),
+    "has_name": _rule_flag("CC", 1),
+    "friends_count": lambda ctx: float(ctx.account.friends_count),
+    "has_profile_url": _rule_flag("CC", 9),
+    "following_rate": lambda ctx: capped_ratio(
+        ctx.account.friends_count, account_age_days(ctx.rule_ctx)
     ),
-    "default_image_after_two_months": ("profile", _rule_flag("SB", 7)),
-    "in_public_list": ("profile", _rule_flag("CC", 6)),
-    "has_custom_image": ("profile", _rule_flag("CC", 2)),
-    "friends_per_follower_ge_50": ("profile", _rule_flag("SB", 1)),
-    "bot_in_biography": ("profile", _rule_flag("SOS", 1)),
-    "shares_profile_picture": ("profile", _rule_flag("SOS", 4)),
-    "double_followers_cover_friends": ("profile", _rule_flag("CC", 19)),
-    "friends_per_follower_ge_100": ("profile", _rule_flag("SOS", 2)),
-    "has_location": ("profile", _rule_flag("CC", 3)),
-    "empty_profile_many_friends": ("profile", _rule_flag("SB", 8)),
-    "has_biography": ("profile", _rule_flag("CC", 4)),
-    "followers_count": ("profile", lambda ctx: float(ctx.account.followers_count)),
+    "default_image_after_two_months": _rule_flag("SB", 7),
+    "in_public_list": _rule_flag("CC", 6),
+    "has_custom_image": _rule_flag("CC", 2),
+    "friends_per_follower_ge_50": _rule_flag("SB", 1),
+    "bot_in_biography": _rule_flag("SOS", 1),
+    "shares_profile_picture": _rule_flag("SOS", 4),
+    "double_followers_cover_friends": _rule_flag("CC", 19),
+    "friends_per_follower_ge_100": _rule_flag("SOS", 2),
+    "has_location": _rule_flag("CC", 3),
+    "empty_profile_many_friends": _rule_flag("SB", 8),
+    "has_biography": _rule_flag("CC", 4),
+    "followers_count": lambda ctx: float(ctx.account.followers_count),
     # Class B: timeline
-    "has_geolocalized_tweet": ("timeline", _rule_flag("CC", 8)),
-    "has_favourites": ("timeline", _rule_flag("CC", 10)),
-    "uses_punctuation": ("timeline", _rule_flag("CC", 11)),
-    "uses_hashtags": ("timeline", _rule_flag("CC", 12)),
-    "used_iphone": ("timeline", _rule_flag("CC", 13)),
-    "used_android": ("timeline", _rule_flag("CC", 14)),
-    "used_foursquare": ("timeline", _rule_flag("CC", 15)),
-    "used_instagram": ("timeline", _rule_flag("CC", 16)),
-    "used_web_client": ("timeline", _rule_flag("CC", 17)),
-    "mentions_users": ("timeline", _rule_flag("CC", 18)),
-    "tweets_beyond_urls": ("timeline", _rule_flag("CC", 20)),
-    "has_retweeted_tweet": ("timeline", _rule_flag("CC", 21)),
-    "uses_multiple_clients": ("timeline", _rule_flag("CC", 22)),
-    "repeats_sentence_to_accounts": ("timeline", _rule_flag("SOS", 3)),
-    "tweets_from_api": ("timeline", _rule_flag("SOS", 5)),
-    "spam_phrase_heavy": ("timeline", _rule_flag("SB", 2)),
-    "repeats_same_tweet": ("timeline", _rule_flag("SB", 3)),
-    "mostly_retweets": ("timeline", _rule_flag("SB", 4)),
-    "mostly_links": ("timeline", _rule_flag("SB", 5)),
-    "num_retweets": ("timeline", lambda ctx: float(ctx.counts.retweets)),
-    "num_url_tweets": ("timeline", lambda ctx: float(ctx.counts.urls)),
-    "message_similarity": (
-        "timeline",
-        lambda ctx: float(message_similarity(ctx.timeline())),
-    ),
-    "url_ratio": ("timeline", lambda ctx: fraction(ctx.counts.urls, ctx.counts.tweets)),
-    "api_ratio": ("timeline", lambda ctx: fraction(ctx.counts.api, ctx.counts.tweets)),
-    "api_url_ratio": ("timeline", lambda ctx: fraction(ctx.counts.api_urls, ctx.counts.api)),
-    "api_tweet_similarity": (
-        "timeline",
-        lambda ctx: float(api_tweet_similarity(ctx.timeline())),
-    ),
+    "has_geolocalized_tweet": _rule_flag("CC", 8),
+    "has_favourites": _rule_flag("CC", 10),
+    "uses_punctuation": _rule_flag("CC", 11),
+    "uses_hashtags": _rule_flag("CC", 12),
+    "used_iphone": _rule_flag("CC", 13),
+    "used_android": _rule_flag("CC", 14),
+    "used_foursquare": _rule_flag("CC", 15),
+    "used_instagram": _rule_flag("CC", 16),
+    "used_web_client": _rule_flag("CC", 17),
+    "mentions_users": _rule_flag("CC", 18),
+    "tweets_beyond_urls": _rule_flag("CC", 20),
+    "has_retweeted_tweet": _rule_flag("CC", 21),
+    "uses_multiple_clients": _rule_flag("CC", 22),
+    "repeats_sentence_to_accounts": _rule_flag("SOS", 3),
+    "tweets_from_api": _rule_flag("SOS", 5),
+    "spam_phrase_heavy": _rule_flag("SB", 2),
+    "repeats_same_tweet": _rule_flag("SB", 3),
+    "mostly_retweets": _rule_flag("SB", 4),
+    "mostly_links": _rule_flag("SB", 5),
+    "num_retweets": lambda ctx: float(ctx.counts.retweets),
+    "num_url_tweets": lambda ctx: float(ctx.counts.urls),
+    "message_similarity": lambda ctx: float(message_similarity(ctx.timeline())),
+    "url_ratio": lambda ctx: fraction(ctx.counts.urls, ctx.counts.tweets),
+    "api_ratio": lambda ctx: fraction(ctx.counts.api, ctx.counts.tweets),
+    "api_url_ratio": lambda ctx: fraction(ctx.counts.api_urls, ctx.counts.api),
+    "api_tweet_similarity": lambda ctx: float(api_tweet_similarity(ctx.timeline())),
     # Class C: relationships
-    "bidirectional_link_ratio": (
-        "graph",
-        lambda ctx: bidirectional_link_ratio(ctx.account, ctx.need_graph()),
+    "bidirectional_link_ratio": lambda ctx: bidirectional_link_ratio(
+        ctx.account, ctx.need_graph()
     ),
-    "avg_neighbor_followers": ("graph", lambda ctx: ctx.neighbors.avg_neighbors_followers),
-    "avg_neighbor_tweets": ("graph", lambda ctx: ctx.neighbors.avg_neighbors_tweets),
+    "avg_neighbor_followers": lambda ctx: ctx.neighbors.avg_neighbors_followers,
+    "avg_neighbor_tweets": lambda ctx: ctx.neighbors.avg_neighbors_tweets,
     "friends_to_median_neighbor_followers": (
-        "graph",
-        lambda ctx: ctx.neighbors.friends_to_median_neighbors_followers,
+        lambda ctx: ctx.neighbors.friends_to_median_neighbors_followers
     ),
+}
+
+#: name -> (the data the feature needs, its extractor)
+_EXTRACTORS: dict[str, tuple[str, Callable[[FeatureContext], float]]] = {
+    name: (_REQUIREMENTS[by_name(name).cost_class], fn) for name, fn in _FUNCTIONS.items()
 }
 
 
@@ -259,10 +257,6 @@ class FeatureMatrix:
             labels=tuple(self.labels[i] for i in idx),
             provenance=dict(self.provenance),
         )
-
-    def take_ids(self, ids: Sequence[str]) -> "FeatureMatrix":
-        pos = {uid: i for i, uid in enumerate(self.account_ids)}
-        return self.take_rows([pos[uid] for uid in ids])
 
     def drop_feature(self, name: str) -> "FeatureMatrix":
         keep = [i for i, spec in enumerate(self.specs) if spec.name != name]

@@ -196,13 +196,6 @@ def tree_stats(root: TreeNode) -> TreeStats:
     return TreeStats(nodes=nodes, leaves=leaves, height=height)
 
 
-@dataclass
-class PruneResult:
-    root: TreeNode
-    before: TreeStats
-    after: TreeStats
-
-
 def reduced_error_prune(
     root: TreeNode,
     X: np.ndarray,

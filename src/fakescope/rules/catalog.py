@@ -68,8 +68,6 @@ class RuleDef:
     ruleset: str
     index: int
     description: str
-    needs_timeline: bool
-    needs_aggregates: bool
     fn: Callable[[AccountContext], tuple[bool, Optional[float]]]
 
 
@@ -248,53 +246,50 @@ def _sb_empty_profile_many_friends(ctx):
 
 def _build_rules() -> dict[tuple[str, int], RuleDef]:
     cc = [
-        ("profile has name", False, _cc_has_name),
-        ("profile has image", False, _cc_has_image),
-        ("profile has address", False, _cc_has_address),
-        ("profile has biography", False, _cc_has_bio),
-        ("at least 30 followers", False, _cc_followers_30),
-        ("belongs to a list", False, _cc_in_list),
-        ("at least 50 tweets", False, _cc_tweets_50),
-        ("geo-localized tweet", True, _cc_geo),
-        ("URL in profile", False, _cc_profile_url),
-        ("included in favorites", False, _cc_favourites),
-        ("punctuation in tweets or biography", True, _cc_punctuation),
-        ("used a hashtag", True, _cc_hashtag),
-        ("logged in from iPhone", True, _source_rule("iphone")),
-        ("logged in from Android", True, _source_rule("android")),
-        ("connected with Foursquare", True, _source_rule("foursquare")),
-        ("connected with Instagram", True, _source_rule("instagram")),
-        ("used the website to tweet", True, _cc_web),
-        ("mentioned another user", True, _cc_mention),
-        ("2*followers >= friends", False, _cc_follower_friend_balance),
-        ("content beyond plain URLs", True, _cc_not_only_urls),
-        ("has a retweeted tweet", True, _cc_retweeted),
-        ("used different clients", True, _cc_clients),
+        ("profile has name", _cc_has_name),
+        ("profile has image", _cc_has_image),
+        ("profile has address", _cc_has_address),
+        ("profile has biography", _cc_has_bio),
+        ("at least 30 followers", _cc_followers_30),
+        ("belongs to a list", _cc_in_list),
+        ("at least 50 tweets", _cc_tweets_50),
+        ("geo-localized tweet", _cc_geo),
+        ("URL in profile", _cc_profile_url),
+        ("included in favorites", _cc_favourites),
+        ("punctuation in tweets or biography", _cc_punctuation),
+        ("used a hashtag", _cc_hashtag),
+        ("logged in from iPhone", _source_rule("iphone")),
+        ("logged in from Android", _source_rule("android")),
+        ("connected with Foursquare", _source_rule("foursquare")),
+        ("connected with Instagram", _source_rule("instagram")),
+        ("used the website to tweet", _cc_web),
+        ("mentioned another user", _cc_mention),
+        ("2*followers >= friends", _cc_follower_friend_balance),
+        ("content beyond plain URLs", _cc_not_only_urls),
+        ("has a retweeted tweet", _cc_retweeted),
+        ("used different clients", _cc_clients),
     ]
     sos = [
-        ("'bot' in biography", False, False, _sos_bot_in_bio),
-        ("friends/followers around 100:1", False, False, _sos_friends_followers_100),
-        ("same sentence to many accounts", True, False, _sos_same_sentence),
-        ("duplicate profile picture", False, True, _sos_duplicate_picture),
-        ("tweets from API", True, False, _sos_from_api),
+        ("'bot' in biography", _sos_bot_in_bio),
+        ("friends/followers around 100:1", _sos_friends_followers_100),
+        ("same sentence to many accounts", _sos_same_sentence),
+        ("duplicate profile picture", _sos_duplicate_picture),
+        ("tweets from API", _sos_from_api),
     ]
     sb = [
-        ("friends/followers 50:1 or more", False, _sb_friends_followers_50),
-        ("over 30% spam phrases", True, _sb_spam_phrases),
-        ("same tweet repeated over 3 times", True, _sb_repeated_tweets),
-        ("over 90% retweets", True, _sb_mostly_retweets),
-        ("over 90% link tweets", True, _sb_mostly_links),
-        ("never tweeted", False, _sb_never_tweeted),
-        ("default image after two months", False, _sb_default_image_two_months),
-        ("no bio, no location, over 100 friends", False, _sb_empty_profile_many_friends),
+        ("friends/followers 50:1 or more", _sb_friends_followers_50),
+        ("over 30% spam phrases", _sb_spam_phrases),
+        ("same tweet repeated over 3 times", _sb_repeated_tweets),
+        ("over 90% retweets", _sb_mostly_retweets),
+        ("over 90% link tweets", _sb_mostly_links),
+        ("never tweeted", _sb_never_tweeted),
+        ("default image after two months", _sb_default_image_two_months),
+        ("no bio, no location, over 100 friends", _sb_empty_profile_many_friends),
     ]
     rules: dict[tuple[str, int], RuleDef] = {}
-    for i, (desc, needs_tl, fn) in enumerate(cc, start=1):
-        rules[(CC, i)] = RuleDef(CC, i, desc, needs_tl, False, fn)
-    for i, (desc, needs_tl, needs_agg, fn) in enumerate(sos, start=1):
-        rules[(SOS, i)] = RuleDef(SOS, i, desc, needs_tl, needs_agg, fn)
-    for i, (desc, needs_tl, fn) in enumerate(sb, start=1):
-        rules[(SB, i)] = RuleDef(SB, i, desc, needs_tl, False, fn)
+    for ruleset, entries in ((CC, cc), (SOS, sos), (SB, sb)):
+        for i, (desc, fn) in enumerate(entries, start=1):
+            rules[(ruleset, i)] = RuleDef(ruleset, i, desc, fn)
     return rules
 
 

@@ -13,7 +13,6 @@ last.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -71,12 +70,6 @@ class SensitivityReport:
     excluded: tuple[str, ...]
     seed: int
 
-    def score_for(self, feature: str) -> FeatureScore:
-        for score in self.scores:
-            if score.feature == feature:
-                return score
-        raise KeyError(feature)
-
     def ranking(self) -> tuple[str, ...]:
         return tuple(score.feature for score in self.scores)
 
@@ -99,10 +92,19 @@ class SensitivityReport:
         return rows
 
 
-def _evaluate(model, X: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    _, scores = predict_many(model, X)
+def _fit_cell(
+    algorithm: str,
+    train_matrix: FeatureMatrix,
+    test_matrix: FeatureMatrix,
+    y_test: np.ndarray,
+    params: Optional[dict],
+    seed: int,
+) -> tuple[float, np.ndarray]:
+    """Train on one matrix; the test MCC and the 0/1 test predictions."""
+    model = train(algorithm, train_matrix, params=params, seed=seed)
+    _, scores = predict_many(model, test_matrix.values)
     predicted = (scores >= 0.5).astype(np.float64)
-    return mcc(ConfusionMatrix.from_predictions(y, predicted)), predicted
+    return mcc(ConfusionMatrix.from_predictions(y_test, predicted)), predicted
 
 
 def analyze_matrices(
@@ -113,7 +115,13 @@ def analyze_matrices(
     params: Optional[dict] = None,
     jobs: int = 1,
 ) -> SensitivityReport:
-    """The full leave-one-out grid over pre-extracted train/test matrices."""
+    """The full leave-one-out grid over pre-extracted train/test matrices.
+
+    Each fit's seed derives from the master seed, the algorithm and the
+    dropped feature. ``jobs`` is an upper bound on workers; the fits run
+    one at a time, which meets any bound, because thread workers measured
+    slower than none.
+    """
     if train_matrix.feature_names != test_matrix.feature_names:
         raise SensitivityError("train/test matrices disagree on features")
     if set(train_matrix.account_ids) & set(test_matrix.account_ids):
@@ -124,65 +132,46 @@ def analyze_matrices(
     params = params or {}
     y_test = test_matrix.y01()
 
-    def fit_cell(algorithm: str, dropped: Optional[str]):
-        tr = train_matrix if dropped is None else train_matrix.drop_feature(dropped)
-        te = test_matrix if dropped is None else test_matrix.drop_feature(dropped)
-        model = train(
-            algorithm,
-            tr,
-            params=params.get(algorithm),
-            seed=derive_seed(seed, 31, _algo_id(algorithm), _feature_id(features, dropped)),
-        )
-        score, predicted = _evaluate(model, te.values, y_test)
-        return score, predicted
-
-    def _algo_id(algorithm: str) -> int:
-        return DEFAULT_ALGORITHMS.index(algorithm)
-
-    def _feature_id(names, dropped) -> int:
-        return 0 if dropped is None else names.index(dropped) + 1
-
     full_mcc: dict[str, float] = {}
-    full_pred: dict[str, np.ndarray] = {}
     excluded: list[str] = []
-    kept: list[str] = []
+    cells: list[SensitivityCell] = []
     for algorithm in algorithms:
-        score, predicted = fit_cell(algorithm, None)
-        if score <= 0:
+        algo_id = DEFAULT_ALGORITHMS.index(algorithm)
+        full, full_pred = _fit_cell(
+            algorithm, train_matrix, test_matrix, y_test, params.get(algorithm),
+            derive_seed(seed, 31, algo_id, 0),
+        )
+        if full <= 0:
             warnings.warn(
-                f"{algorithm}: full-model MCC {score:.3f} <= 0, excluded from fusion",
+                f"{algorithm}: full-model MCC {full:.3f} <= 0, excluded from fusion",
                 stacklevel=2,
             )
             excluded.append(algorithm)
             continue
-        full_mcc[algorithm] = score
-        full_pred[algorithm] = predicted
-        kept.append(algorithm)
-    if not kept:
+        full_mcc[algorithm] = full
+        for feature in features:
+            score, predicted = _fit_cell(
+                algorithm,
+                train_matrix.drop_feature(feature),
+                test_matrix.drop_feature(feature),
+                y_test,
+                params.get(algorithm),
+                derive_seed(seed, 31, algo_id, features.index(feature) + 1),
+            )
+            cells.append(
+                SensitivityCell(
+                    algorithm=algorithm,
+                    feature=feature,
+                    mcc_full=full,
+                    mcc_without=score,
+                    local=local_sensitivity(full, score),
+                    changed_predictions=int(np.sum(predicted != full_pred)),
+                )
+            )
+    if not full_mcc:
         raise SensitivityError("every classifier scored MCC <= 0 on the test set")
     weight_total = sum(full_mcc.values())
-    weights = {a: full_mcc[a] / weight_total for a in kept}
-
-    grid = [(algorithm, feature) for algorithm in kept for feature in features]
-
-    def run_cell(cell):
-        algorithm, feature = cell
-        score, predicted = fit_cell(algorithm, feature)
-        changed = int(np.sum(predicted != full_pred[algorithm]))
-        return SensitivityCell(
-            algorithm=algorithm,
-            feature=feature,
-            mcc_full=full_mcc[algorithm],
-            mcc_without=score,
-            local=local_sensitivity(full_mcc[algorithm], score),
-            changed_predictions=changed,
-        )
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(run_cell, grid))
-    else:
-        cells = [run_cell(cell) for cell in grid]
+    weights = {a: full_mcc[a] / weight_total for a in full_mcc}
 
     by_feature: dict[str, list[SensitivityCell]] = {f: [] for f in features}
     for cell in cells:
@@ -239,7 +228,8 @@ def analyze(
     params: Optional[dict] = None,
     jobs: int = 1,
 ) -> SensitivityReport:
-    """Extract both corpora once, then run the leave-one-out grid."""
+    """Extract both corpora once, then run the leave-one-out grid; ``jobs``
+    as in `analyze_matrices`."""
     train_matrix = extract(train_set, specs)
     test_matrix = extract(test_set, specs)
     return analyze_matrices(

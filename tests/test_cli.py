@@ -55,6 +55,13 @@ class TestExitCodes:
                     "--out", tmp_path]) == 1
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
+        # the corpus is absent too, which would exit 2 if --jobs passed
+        assert run(["sensitivity", tmp_path / "absent", "--jobs", jobs,
+                    "--out", tmp_path / "out"]) == 1
+        assert "usage error" in capsys.readouterr().err
+
 
 class TestSynth:
     def test_same_seed_identical_trees(self, tmp_path):

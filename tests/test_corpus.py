@@ -54,6 +54,14 @@ def user_row(uid, label="human", followers=100):
 
 
 class TestLoad:
+    def test_short_row_without_user_id_named(self, tmp_path):
+        write_corpus(tmp_path, [user_row("u1")])
+        (tmp_path / "tweets.csv").write_text("id,created_at,user_id\nt1,2014-02-01T00:00:00Z\n")
+        with pytest.raises(MalformedRowError) as err:
+            load_dataset(tmp_path)
+        assert (err.value.file, err.value.line, err.value.column, err.value.reason) == (
+            str(tmp_path / "tweets.csv"), 2, "user_id", "empty value")
+
     def test_empty_users_file(self, tmp_path):
         write_corpus(tmp_path, [])
         with pytest.raises(EmptyCorpusError, match="no accounts"):
@@ -159,16 +167,29 @@ TWEETS_HEADER = (
 GOOD_TWEET = ["t1", "u1", "2014-02-01T00:00:00Z", "hi", "web", "0", "0", "0", "0", "0", "0"]
 
 
-def write_tables(directory, fmt, users, tweets):
+def write_table(directory, fmt, name, header, rows):
     """Rows are cell lists in header order; a short list is a short row (csv)
     or an object missing the trailing fields (JSON lines)."""
+    columns = header.split(",")
+    if fmt == "csv":
+        text = "".join(",".join(row) + "\n" for row in [columns, *rows])
+    else:
+        text = "".join(json.dumps(dict(zip(columns, row))) + "\n" for row in rows)
+    (directory / f"{name}.{fmt}").write_text(text)
+
+
+def write_tables(directory, fmt, users, tweets):
     for name, header, rows in (("users", USERS_HEADER, users), ("tweets", TWEETS_HEADER, tweets)):
-        columns = header.split(",")
-        if fmt == "csv":
-            text = "".join(",".join(row) + "\n" for row in [columns, *rows])
-        else:
-            text = "".join(json.dumps(dict(zip(columns, row))) + "\n" for row in rows)
-        (directory / f"{name}.{fmt}").write_text(text)
+        write_table(directory, fmt, name, header, rows)
+
+
+#: A loadable corpus, one row per table: header and rows of each table.
+GOOD_TABLES = {
+    "users": (USERS_HEADER, [user_row("u1").split(",")]),
+    "tweets": (TWEETS_HEADER, [GOOD_TWEET]),
+    "edges": ("follower_id,followed_id", [["u1", "n1"]]),
+    "neighbors": ("id,followers_count,statuses_count", [["n1", "5", "6"]]),
+}
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -214,6 +235,32 @@ class TestLoadRows:
         line = 3 if fmt == "csv" else 2  # the csv header is line 1
         assert (err.value.file, err.value.line, err.value.column, err.value.reason) == (
             str(tmp_path / f"tweets.{fmt}"), line, column, reasons[fmt])
+
+    @pytest.mark.parametrize(
+        "table, bad, column, reasons",
+        [
+            ("users", ["", "sn_u2", "Sam", "2014-01-01T00:00:00Z"], "id", {}),
+            ("users", ["u2", " ", "Sam", "2014-01-01T00:00:00Z"], "screen_name", {}),
+            ("users", ["u2"], "screen_name", {"json": "missing required field"}),
+            ("tweets", ["", "u1", "2014-02-01T00:00:00Z"], "id", {}),
+            ("tweets", ["t2", " ", "2014-02-01T00:00:00Z"], "user_id", {}),
+            ("tweets", ["t2"], "user_id", {"json": "missing required field"}),
+            ("neighbors", ["", "5", "6"], "id", {}),
+            ("edges", ["", "u1"], "follower_id", {}),
+            ("edges", ["u1"], "followed_id", {"json": "missing required field"}),
+        ],
+        ids=["user-id-blank", "screen-name-blank", "screen-name-short", "tweet-id-blank",
+             "tweet-user-blank", "tweet-user-short", "neighbor-id-blank", "follower-blank",
+             "followed-short"],
+    )
+    def test_missing_or_blank_identifier_named(self, tmp_path, fmt, table, bad, column, reasons):
+        for name, (header, rows) in GOOD_TABLES.items():
+            write_table(tmp_path, fmt, name, header, rows + [bad] * (name == table))
+        with pytest.raises(MalformedRowError) as err:
+            load_dataset(tmp_path, fmt=fmt)
+        line = 3 if fmt == "csv" else 2  # the csv header is line 1
+        assert (err.value.file, err.value.line, err.value.column, err.value.reason) == (
+            str(tmp_path / f"{table}.{fmt}"), line, column, reasons.get(fmt, "empty value"))
 
 
 class TestValidate:
