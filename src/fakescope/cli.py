@@ -34,7 +34,7 @@ from .features.catalog import catalog as feature_catalog
 from .features.catalog import feature_set
 from .features.extract import extract
 from .learn.cv import class_distribution_sweep, cross_validate
-from .learn.model import model_to_json, train as train_model
+from .learn.model import jsonable_params, model_to_json, train as train_model
 from .learn.tree import LearnError
 from .manifest import RunManifest
 from .metrics import MetricError
@@ -337,7 +337,7 @@ def train_cmd(src, algo, feature_selector, trees, k_neighbors, rounds, depth, pr
     model_path = out / "model.json"
     model_path.write_text(model_to_json(model) + "\n", encoding="utf-8")
     manifest = _manifest(
-        "train", {"src": str(src), "algo": algo, "features": feature_selector, "params": {k: list(v) if isinstance(v, tuple) else v for k, v in params.items()}}, seed
+        "train", {"src": str(src), "algo": algo, "features": feature_selector, "params": jsonable_params(params)}, seed
     )
     manifest.add_input(src)
     manifest.add_artifact(model_path)
@@ -380,7 +380,7 @@ def cv(src, algo, feature_selector, k, trees, k_neighbors, rounds, depth, prune,
     manifest = _manifest(
         "cv",
         {"src": str(src), "algo": algo, "features": feature_selector, "k": k,
-         "params": {key: list(v) if isinstance(v, tuple) else v for key, v in params.items()}},
+         "params": jsonable_params(params)},
         seed,
     )
     manifest.add_input(src)

@@ -13,7 +13,7 @@ from ..features.catalog import FeatureSpec
 from ..features.extract import FeatureMatrix, extract
 from ..metrics import ConfusionMatrix, MetricsReport, RocResult, roc_auc, summarize
 from ..seeding import derive_seed
-from .model import predict_many, train
+from .model import jsonable_params, predict_many, train
 from .tree import LearnError
 
 
@@ -24,20 +24,20 @@ class CvReport:
     seed: int
     k: int
     fold_matrices: tuple[ConfusionMatrix, ...]
-    pooled: MetricsReport
     roc: RocResult
 
     @property
     def pooled_matrix(self) -> ConfusionMatrix:
-        total = ConfusionMatrix(0, 0, 0, 0)
-        for cm in self.fold_matrices:
-            total = total + cm
-        return total
+        return sum(self.fold_matrices, ConfusionMatrix(0, 0, 0, 0))
+
+    @property
+    def pooled(self) -> MetricsReport:
+        return summarize(self.pooled_matrix, auc=self.roc.auc)
 
     def as_dict(self) -> dict:
         return {
             "algorithm": self.algorithm,
-            "params": {k: (list(v) if isinstance(v, tuple) else v) for k, v in self.params.items()},
+            "params": jsonable_params(self.params),
             "seed": self.seed,
             "k": self.k,
             "folds": [
@@ -86,19 +86,13 @@ def cross_validate_matrix(
         fold_cms.append(ConfusionMatrix.from_predictions(y_test, predicted))
         pooled_scores.extend(float(s) for s in scores)
         pooled_labels.extend(float(v) for v in y_test)
-    total = ConfusionMatrix(0, 0, 0, 0)
-    for cm in fold_cms:
-        total = total + cm
-    roc = roc_auc(pooled_scores, pooled_labels)
-    pooled = summarize(total, auc=roc.auc)
     return CvReport(
         algorithm=algorithm,
         params=dict(params or {}),
         seed=seed,
         k=k,
         fold_matrices=tuple(fold_cms),
-        pooled=pooled,
-        roc=roc,
+        roc=roc_auc(pooled_scores, pooled_labels),
     )
 
 

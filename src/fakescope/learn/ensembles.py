@@ -9,12 +9,12 @@ import numpy as np
 
 from ..kernels import dense_ranks, presort
 from ..seeding import make_rng
-from .tree import LearnError, TreeNode, grow_tree, tree_predict_proba
+from .tree import LearnError, Tree, grow_tree, predict_each, tree_predict_proba
 
 
 @dataclass
 class ForestState:
-    trees: list[TreeNode]
+    trees: list[Tree]
     mtry: int
 
 
@@ -58,15 +58,16 @@ def rf_fit(
 
 def rf_scores(state: ForestState, X: np.ndarray) -> np.ndarray:
     total = np.zeros(X.shape[0])
-    for tree in state.trees:
-        total += tree_predict_proba(tree, X)
+    # added one tree at a time, in tree order, so the sum's bits never change
+    for probs in predict_each(state.trees, X):
+        total += probs
     return total / len(state.trees)
 
 
 @dataclass
 class BoostState:
     alphas: list[float]
-    trees: list[TreeNode]
+    trees: list[Tree]
 
 
 def ab_fit(
@@ -88,7 +89,7 @@ def ab_fit(
     order = presort(X)
     w = np.full(n, 1.0 / n)
     alphas: list[float] = []
-    trees: list[TreeNode] = []
+    trees: list[Tree] = []
     for t in range(rounds):
         tree = grow_tree(X, y, weights=w, min_leaf=min_leaf, max_depth=depth, order=order)
         pred = (tree_predict_proba(tree, X) >= 0.5).astype(np.float64)
@@ -111,7 +112,7 @@ def ab_scores(state: BoostState, X: np.ndarray) -> np.ndarray:
     if total_alpha <= 0:
         return np.full(X.shape[0], 0.5)
     margin = np.zeros(X.shape[0])
-    for alpha, tree in zip(state.alphas, state.trees):
-        h = np.where(tree_predict_proba(tree, X) >= 0.5, 1.0, -1.0)
+    for alpha, probs in zip(state.alphas, predict_each(state.trees, X)):
+        h = np.where(probs >= 0.5, 1.0, -1.0)
         margin += alpha * h
     return (margin / total_alpha + 1.0) / 2.0

@@ -24,7 +24,7 @@ from .simple import (
 )
 from .tree import (
     LearnError,
-    TreeNode,
+    Tree,
     grow_tree,
     pessimistic_prune,
     reduced_error_prune,
@@ -39,7 +39,7 @@ MODEL_FORMAT_VERSION = 1
 
 @dataclass
 class TreeState:
-    root: TreeNode
+    root: Tree
     X: np.ndarray  # retained training sample, for reduced-error pruning
     y: np.ndarray
 
@@ -254,17 +254,18 @@ def _state_to_json(model: TrainedModel) -> dict:
     }
 
 
-def _state_from_json(algorithm: str, data: dict):
+def _state_from_json(algorithm: str, data: dict, n_features: int):
     if algorithm == "dt":
-        root = TreeNode.from_dict(data["tree"])
+        root = Tree.from_dict(data["tree"], n_features)
         return TreeState(root=root, X=np.zeros((0, 0)), y=np.zeros(0))
     if algorithm == "rf":
         return ForestState(
-            trees=[TreeNode.from_dict(t) for t in data["trees"]], mtry=data["mtry"]
+            trees=[Tree.from_dict(t, n_features) for t in data["trees"]], mtry=data["mtry"]
         )
     if algorithm == "ab":
         return BoostState(
-            alphas=list(data["alphas"]), trees=[TreeNode.from_dict(t) for t in data["trees"]]
+            alphas=list(data["alphas"]),
+            trees=[Tree.from_dict(t, n_features) for t in data["trees"]],
         )
     if algorithm == "knn":
         return KnnState(
@@ -293,7 +294,8 @@ def _state_from_json(algorithm: str, data: dict):
     )
 
 
-def _jsonable_params(params: dict) -> dict:
+def jsonable_params(params: dict) -> dict:
+    """``params`` with tuple values as lists, as JSON writes them."""
     return {k: (list(v) if isinstance(v, tuple) else v) for k, v in params.items()}
 
 
@@ -301,40 +303,28 @@ def model_to_json(model: TrainedModel) -> str:
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
         "algorithm": model.algorithm,
-        "params": _jsonable_params(model.params),
+        "params": jsonable_params(model.params),
         "feature_names": list(model.feature_names),
         "feature_kinds": list(model.feature_kinds),
         "seed": model.seed,
         "state": _state_to_json(model),
     }
-    return json.dumps(payload, sort_keys=True)
-
-
-def _check_tree(root: TreeNode, n_features: int) -> None:
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            continue
-        feature = node.feature
-        if isinstance(feature, bool) or not isinstance(feature, int) or not (
-            0 <= feature < n_features
-        ):
-            raise LearnError(
-                f"tree node feature {feature!r} is out of range for {n_features} features"
-            )
-        if isinstance(node.threshold, bool) or not isinstance(node.threshold, (int, float)):
-            raise LearnError(f"tree node threshold {node.threshold!r} is not a number")
-        stack.extend((node.left, node.right))
+    try:
+        return json.dumps(payload, sort_keys=True)
+    except RecursionError:
+        trees = [model.state.root] if model.algorithm == "dt" else model.state.trees
+        height = max(tree_stats(tree).height for tree in trees)
+        raise LearnError(
+            f"a tree of height {height} is nested too deeply for the model format"
+        ) from None
 
 
 def _check_shapes(model: TrainedModel) -> None:
     d = model.n_features
     state = model.state
     if model.algorithm in ("dt", "rf", "ab"):
-        trees = [state.root] if model.algorithm == "dt" else state.trees
-        for root in trees:
-            _check_tree(root, d)
+        if model.algorithm != "dt" and not state.trees:
+            raise LearnError(f"{model.algorithm} model has no trees")
         if model.algorithm == "ab" and len(state.alphas) != len(state.trees):
             raise LearnError("boosting model has different numbers of alphas and trees")
         return
@@ -359,6 +349,8 @@ def model_from_json(text: str) -> TrainedModel:
         payload = json.loads(text)
     except ValueError as exc:
         raise LearnError(f"model is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise LearnError("model JSON is nested too deeply to read") from None
     if not isinstance(payload, dict):
         raise LearnError("model must be a JSON object")
     if payload.get("format_version") != MODEL_FORMAT_VERSION:
@@ -367,16 +359,19 @@ def model_from_json(text: str) -> TrainedModel:
     if algorithm not in ALGORITHMS:
         raise LearnError(f"unknown algorithm {algorithm!r}")
     try:
+        feature_names = tuple(payload["feature_names"])
         model = TrainedModel(
             algorithm=algorithm,
             params=payload["params"],
-            feature_names=tuple(payload["feature_names"]),
+            feature_names=feature_names,
             feature_kinds=tuple(payload["feature_kinds"]),
             seed=payload["seed"],
-            state=_state_from_json(algorithm, payload["state"]),
+            state=_state_from_json(algorithm, payload["state"], len(feature_names)),
         )
     except KeyError as exc:
         raise LearnError(f"model is missing the field {exc.args[0]!r}") from None
+    except LearnError:
+        raise
     except (TypeError, ValueError) as exc:
         raise LearnError(f"malformed model: {exc}") from None
     if len(model.feature_names) != len(model.feature_kinds):

@@ -21,6 +21,8 @@ from fakescope.learn import (
     model_tree_stats,
     predict,
     predict_many,
+    predict_scores,
+    prune,
     train,
 )
 from fakescope.kernels import best_threshold_split, presort
@@ -276,6 +278,18 @@ class TestModelValidation:
         with pytest.raises(LearnError, match="1 feature names but 2 feature kinds"):
             model_from_json(text)
 
+    def test_tree_count_not_a_number(self):
+        payload = self._payload()
+        payload["state"]["tree"]["left"]["n"] = "2"
+        with pytest.raises(LearnError, match="tree node n '2' is not a number"):
+            model_from_json(json.dumps(payload))
+
+    def test_forest_without_trees(self):
+        payload = json.loads(model_to_json(train("rf", simple_matrix(), seed=0)))
+        payload["state"]["trees"] = []
+        with pytest.raises(LearnError, match="rf model has no trees"):
+            model_from_json(json.dumps(payload))
+
 
 def _oracle_entropy(pos, total):
     p = np.where(total > 0, pos / np.where(total > 0, total, 1.0), 0.0)
@@ -364,3 +378,100 @@ def test_tree_models_are_byte_identical_to_golden():
     for algo, (params, digest) in GOLDEN_MODELS.items():
         text = model_to_json(train(algo, matrix, params=params, seed=4))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, algo
+
+
+def test_tree_model_json_round_trips_byte_for_byte():
+    matrix = _noisy_class_a_matrix()
+    cases = [
+        ("dt", None),
+        ("dt", {"prune": ("reduced_error", None)}),
+        ("dt", {"prune": ("subtree_raising", 0.25)}),
+        ("rf", {"n_trees": 8}),
+        ("ab", {"rounds": 20, "depth": 2}),
+    ]
+    for algo, params in cases:
+        text = model_to_json(train(algo, matrix, params=params, seed=4))
+        assert model_to_json(model_from_json(text)) == text, (algo, params)
+
+
+def test_trees_deeper_than_the_recursion_limit():
+    """Alternating labels on one column grow a tree one row per level."""
+    n = 1200
+    X = np.arange(n, dtype=np.float64).reshape(-1, 1)
+    model = train("dt", make_matrix(X, np.arange(n) % 2), seed=0)
+    stats = model_tree_stats(model)
+    assert (stats.nodes, stats.leaves, stats.height) == (2 * n - 1, n, n)
+    labels, _ = predict_many(model, X)
+    assert labels == ["fake" if i % 2 else "human" for i in range(n)]
+    for strategy in ("reduced_error", "subtree_raising"):
+        assert model_tree_stats(prune(model, strategy, seed=1)).nodes <= stats.nodes
+    with pytest.raises(LearnError, match=f"height {n} is nested too deeply"):
+        model_to_json(model)
+    with pytest.raises(LearnError, match="nested too deeply"):
+        model_from_json('{"a":' * 5000 + "1" + "}" * 5000)
+
+
+def _oracle_walk(node, x):
+    while "feature" in node:
+        node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
+    return node["n_fake"] / node["n"] if node["n"] > 0 else 0.5
+
+
+def _oracle_scores(model, X):
+    """Scores row by row, from a walk of each tree's nested ``to_dict`` form."""
+    state = model.state
+    if model.algorithm == "dt":
+        root = state.root.to_dict()
+        return [_oracle_walk(root, x) for x in X]
+    roots = [tree.to_dict() for tree in state.trees]
+    scores = []
+    for x in X:
+        if model.algorithm == "rf":
+            total = 0.0
+            for root in roots:
+                total += _oracle_walk(root, x)
+            scores.append(total / len(roots))
+            continue
+        total_alpha = sum(state.alphas)
+        if total_alpha <= 0:
+            scores.append(0.5)
+            continue
+        margin = 0.0
+        for alpha, root in zip(state.alphas, roots):
+            margin += alpha * (1.0 if _oracle_walk(root, x) >= 0.5 else -1.0)
+        scores.append((margin / total_alpha + 1.0) / 2.0)
+    return scores
+
+
+@st.composite
+def tree_models(draw):
+    cols = draw(st.integers(1, 3))
+    value = st.sampled_from([-1.0, 0.0, 0.5, 2.0]) | st.floats(
+        -1e3, 1e3, allow_nan=False, allow_infinity=False
+    )
+    row = st.lists(value, min_size=cols, max_size=cols)
+    X = np.array(draw(st.lists(row, min_size=4, max_size=30)))
+    y = [0, 1] + draw(st.lists(st.sampled_from([0, 1]), min_size=len(X) - 2,
+                               max_size=len(X) - 2))
+    probe = np.array(draw(st.lists(row, min_size=1, max_size=10)))
+    algo = draw(st.sampled_from(["dt", "rf", "ab"]))
+    params = {"min_leaf": draw(st.integers(1, 4))}
+    if algo == "ab":
+        params.update(rounds=draw(st.integers(1, 6)), depth=draw(st.integers(1, 3)))
+    else:
+        params["max_depth"] = draw(st.none() | st.integers(1, 4))
+    if algo == "rf":
+        params["n_trees"] = draw(st.integers(1, 4))
+    model = train(algo, make_matrix(X, y), params=params, seed=draw(st.integers(0, 99)))
+    return model, np.concatenate((X, probe))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree_models())
+def test_routed_scores_match_a_walk_of_the_nested_form(case):
+    model, X = case
+    trees = [model.state.root] if model.algorithm == "dt" else model.state.trees
+    for tree in trees:
+        splits = np.flatnonzero(tree.feature >= 0)
+        assert np.all(tree.left[splits] > splits) and np.all(tree.right[splits] > splits)
+    assert predict_scores(model, X).tolist() == _oracle_scores(model, X)

@@ -7,7 +7,7 @@ from fakescope.corpus import SynthConfig, synthesize
 from fakescope.features import CLASS_A_SPECS, extract
 from fakescope.learn import (
     LearnError,
-    TreeNode,
+    Tree,
     grow_tree,
     model_from_json,
     model_to_json,
@@ -22,19 +22,20 @@ from fakescope.seeding import make_rng
 
 
 def leaf(n, n_fake):
-    return TreeNode(n_samples=n, n_fake=n_fake)
+    return Tree.from_dict({"n": n, "n_fake": n_fake}, n_features=3)
 
 
 def split(feature, threshold, left, right):
-    node = TreeNode(
-        n_samples=left.n_samples + right.n_samples,
-        n_fake=left.n_fake + right.n_fake,
-        feature=feature,
-        threshold=threshold,
-        left=left,
-        right=right,
-    )
-    return node
+    left, right = left.to_dict(), right.to_dict()
+    node = {
+        "n": left["n"] + right["n"],
+        "n_fake": left["n_fake"] + right["n_fake"],
+        "feature": feature,
+        "threshold": threshold,
+        "left": left,
+        "right": right,
+    }
+    return Tree.from_dict(node, n_features=3)
 
 
 def noisy_training_data(seed=0, n=400, flip=0.18):
@@ -107,14 +108,14 @@ class TestReducedError:
         root = grow_tree(X, y)
         pruned = reduced_error_prune(root, X, y, folds=3, seed=2)
 
-        def pure_leaf_rows(node, rows):
-            if node.is_leaf:
-                if node.n_fake in (0.0, node.n_samples):
+        def pure_leaf_rows(tree, rows, node=0):
+            if tree.feature[node] < 0:
+                if tree.n_fake[node] in (0.0, tree.n[node]):
                     yield from rows
                 return
-            mask = X[rows, node.feature] <= node.threshold
-            yield from pure_leaf_rows(node.left, rows[mask])
-            yield from pure_leaf_rows(node.right, rows[~mask])
+            mask = X[rows, tree.feature[node]] <= tree.threshold[node]
+            yield from pure_leaf_rows(tree, rows[mask], tree.left[node])
+            yield from pure_leaf_rows(tree, rows[~mask], tree.right[node])
 
         # rows that still land in pure leaves after pruning keep their label
         surviving = np.fromiter(
