@@ -388,40 +388,42 @@ def _bool_cell(value: bool) -> str:
     return "1" if value else "0"
 
 
-def _account_row(a: Account) -> dict[str, str]:
-    return {
-        "id": a.user_id,
-        "screen_name": a.screen_name,
-        "name": a.name,
-        "created_at": format_timestamp(a.created_at),
-        "followers_count": str(a.followers_count),
-        "friends_count": str(a.friends_count),
-        "statuses_count": str(a.statuses_count),
-        "listed_count": str(a.listed_count),
-        "favourites_count": str(a.favourites_count),
-        "url": a.url or "",
-        "location": a.location or "",
-        "description": a.description or "",
-        "default_profile_image": _bool_cell(a.default_profile_image),
-        "profile_image_hash": a.profile_image_fingerprint or "",
-        "label": a.label or "",
-    }
+def _account_row(a: Account) -> list[str]:
+    """The cells of ``USER_COLUMNS``, in order."""
+    return [
+        a.user_id,
+        a.screen_name,
+        a.name,
+        format_timestamp(a.created_at),
+        str(a.followers_count),
+        str(a.friends_count),
+        str(a.statuses_count),
+        str(a.listed_count),
+        str(a.favourites_count),
+        a.url or "",
+        a.location or "",
+        a.description or "",
+        _bool_cell(a.default_profile_image),
+        a.profile_image_fingerprint or "",
+        a.label or "",
+    ]
 
 
-def _tweet_row(t: Tweet) -> dict[str, str]:
-    return {
-        "id": t.tweet_id,
-        "user_id": t.user_id,
-        "created_at": format_timestamp(t.created_at),
-        "text": t.text,
-        "source": t.source,
-        "is_retweet": _bool_cell(t.is_retweet),
-        "retweet_count": str(t.retweet_count),
-        "geo": _bool_cell(t.is_geolocalized),
-        "num_hashtags": str(t.num_hashtags),
-        "num_mentions": str(t.num_mentions),
-        "num_urls": str(t.num_urls),
-    }
+def _tweet_row(t: Tweet) -> list[str]:
+    """The cells of ``TWEET_COLUMNS``, in order."""
+    return [
+        t.tweet_id,
+        t.user_id,
+        format_timestamp(t.created_at),
+        t.text,
+        t.source,
+        _bool_cell(t.is_retweet),
+        str(t.retweet_count),
+        _bool_cell(t.is_geolocalized),
+        str(t.num_hashtags),
+        str(t.num_mentions),
+        str(t.num_urls),
+    ]
 
 
 def save_dataset(dataset: LabeledDataset, out_dir, fmt: str = "csv") -> dict[str, Path]:
@@ -433,7 +435,7 @@ def save_dataset(dataset: LabeledDataset, out_dir, fmt: str = "csv") -> dict[str
     ext = "csv" if fmt == "csv" else "json"
     written: dict[str, Path] = {}
 
-    tables: list[tuple[str, list[str], list[dict[str, str]]]] = []
+    tables: list[tuple[str, list[str], list[Sequence[str]]]] = []
     tables.append(
         ("users", USER_COLUMNS, [_account_row(a) for a in dataset.accounts.values()])
     )
@@ -445,16 +447,9 @@ def save_dataset(dataset: LabeledDataset, out_dir, fmt: str = "csv") -> dict[str
         ]
         tables.append(("tweets", TWEET_COLUMNS, rows))
     if dataset.graph is not None:
-        edge_rows = [
-            {"follower_id": s, "followed_id": d} for s, d in sorted(dataset.graph.edges)
-        ]
-        tables.append(("edges", EDGE_COLUMNS, edge_rows))
+        tables.append(("edges", EDGE_COLUMNS, sorted(dataset.graph.edges)))
         neighbor_rows = [
-            {
-                "id": nid,
-                "followers_count": str(summary.followers_count),
-                "statuses_count": str(summary.statuses_count),
-            }
+            [nid, str(summary.followers_count), str(summary.statuses_count)]
             for nid, summary in sorted(dataset.graph.neighbor_summaries.items())
         ]
         if neighbor_rows:
@@ -464,12 +459,12 @@ def save_dataset(dataset: LabeledDataset, out_dir, fmt: str = "csv") -> dict[str
         path = out / f"{name}.{ext}"
         if fmt == "csv":
             with open(path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
-                writer.writeheader()
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(columns)
                 writer.writerows(rows)
         else:
             with open(path, "w", encoding="utf-8") as fh:
                 for row in rows:
-                    fh.write(json.dumps(row, sort_keys=True) + "\n")
+                    fh.write(json.dumps(dict(zip(columns, row)), sort_keys=True) + "\n")
         written[name] = path
     return written

@@ -13,7 +13,8 @@ from ..features.catalog import FeatureSpec
 from ..features.extract import FeatureMatrix, extract
 from ..metrics import ConfusionMatrix, MetricsReport, RocResult, roc_auc, summarize
 from ..seeding import derive_seed
-from .model import jsonable_params, predict_many, train
+# perfbench/tracing.py times the learn.fit_s.* layer by wrapping this module's `train`
+from .model import jsonable_params, predict_many, train, train_many  # noqa: F401
 from .tree import LearnError
 
 
@@ -59,27 +60,28 @@ def cross_validate_matrix(
 ) -> CvReport:
     """K-fold CV over a pre-extracted matrix (stratified folds by label).
 
-    Fold seeds derive from the master seed and fold index. ``jobs`` is an
-    upper bound on workers; the folds run one at a time, which meets any
-    bound, because thread workers measured slower than none.
+    Fold seeds derive from the master seed and fold index. All folds train
+    in one `train_many` call, so lr folds of one shape share one descent.
+    ``jobs`` is an upper bound on workers; one thread trains every fold,
+    which meets any bound, because thread workers measured slower than
+    none.
     """
     plan = split_folds(dataset, k, seed)
     row_of = {uid: i for i, uid in enumerate(matrix.account_ids)}
     y = matrix.y01()
 
+    folds = [plan.train_test(i) for i in range(plan.k)]
+    models = train_many(
+        algorithm,
+        [matrix.take_rows([row_of[uid] for uid in train_ids]) for train_ids, _ in folds],
+        params=params,
+        seeds=[derive_seed(seed, 11, i) for i in range(plan.k)],
+    )
     fold_cms: list[ConfusionMatrix] = []
     pooled_scores: list[float] = []
     pooled_labels: list[float] = []
-    for i in range(plan.k):
-        train_ids, test_ids = plan.train_test(i)
-        train_rows = [row_of[uid] for uid in train_ids]
+    for model, (_, test_ids) in zip(models, folds):
         test_rows = [row_of[uid] for uid in test_ids]
-        model = train(
-            algorithm,
-            matrix.take_rows(train_rows),
-            params=params,
-            seed=derive_seed(seed, 11, i),
-        )
         _, scores = predict_many(model, matrix.values[test_rows])
         y_test = y[test_rows]
         predicted = (scores >= 0.5).astype(np.float64)

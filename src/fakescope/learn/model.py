@@ -17,7 +17,7 @@ from .simple import (
     NaiveBayesState,
     knn_fit,
     knn_scores,
-    lr_fit,
+    lr_fit_many,
     lr_scores,
     nb_fit,
     nb_scores,
@@ -74,18 +74,9 @@ def _check_matrix(matrix: FeatureMatrix) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def train(
-    algorithm: str,
-    matrix: FeatureMatrix,
-    params: Optional[dict] = None,
-    seed: int = 0,
-) -> TrainedModel:
-    algorithm = algorithm.lower()
-    if algorithm not in ALGORITHMS:
-        raise LearnError(f"unknown algorithm {algorithm!r}")
-    params = dict(params or {})
+def _fit_state(algorithm: str, matrix: FeatureMatrix, params: dict, seed: int):
+    """One classifier's state, for every algorithm but lr."""
     X, y = _check_matrix(matrix)
-
     if algorithm == "dt":
         root = grow_tree(
             X,
@@ -93,14 +84,9 @@ def train(
             min_leaf=params.get("min_leaf", 2),
             max_depth=params.get("max_depth"),
         )
-        prune_spec = params.get("prune")
-        state = TreeState(root=root, X=X, y=y)
-        if prune_spec is not None:
-            model = TrainedModel(algorithm, params, matrix.feature_names,
-                                 tuple(s.kind for s in matrix.specs), seed, state)
-            return prune(model, prune_spec, seed=seed)
-    elif algorithm == "rf":
-        state = rf_fit(
+        return TreeState(root=root, X=X, y=y)
+    if algorithm == "rf":
+        return rf_fit(
             X,
             y,
             seed=seed,
@@ -109,35 +95,74 @@ def train(
             max_depth=params.get("max_depth"),
             feature_sample=params.get("feature_sample", "sqrt"),
         )
-    elif algorithm == "ab":
-        state = ab_fit(
+    if algorithm == "ab":
+        return ab_fit(
             X,
             y,
             rounds=params.get("rounds", 50),
             depth=params.get("depth", 1),
             min_leaf=params.get("min_leaf", 2),
         )
-    elif algorithm == "knn":
-        state = knn_fit(X, y, k=params.get("k", 5))
-    elif algorithm == "nb":
-        boolean_mask = np.asarray([s.kind == BOOLEAN for s in matrix.specs])
-        state = nb_fit(X, y, boolean_mask=boolean_mask)
-    else:  # lr
-        state = lr_fit(
-            X,
-            y,
+    if algorithm == "knn":
+        return knn_fit(X, y, k=params.get("k", 5))
+    boolean_mask = np.asarray([s.kind == BOOLEAN for s in matrix.specs])
+    return nb_fit(X, y, boolean_mask=boolean_mask)
+
+
+def train_many(
+    algorithm: str,
+    matrices: Sequence[FeatureMatrix],
+    params: Optional[dict],
+    seeds: Sequence[int],
+) -> list[TrainedModel]:
+    """Train one model per matrix, the i-th with ``seeds[i]``.
+
+    lr fits every matrix in one lock-step descent (`lr_fit_many`); the
+    other algorithms fit the matrices one by one. Each model equals what
+    ``train`` returns for its matrix and seed alone.
+    """
+    algorithm = algorithm.lower()
+    if algorithm not in ALGORITHMS:
+        raise LearnError(f"unknown algorithm {algorithm!r}")
+    if len(seeds) != len(matrices):
+        raise LearnError(f"{len(matrices)} matrices but {len(seeds)} seeds")
+    params = dict(params or {})
+    if algorithm == "lr":
+        states = lr_fit_many(
+            [_check_matrix(matrix) for matrix in matrices],
             ridge=params.get("ridge", 1e-3),
             max_iter=params.get("max_iter", 10_000),
             tol=params.get("tol", 1e-6),
         )
-    return TrainedModel(
-        algorithm=algorithm,
-        params=params,
-        feature_names=matrix.feature_names,
-        feature_kinds=tuple(s.kind for s in matrix.specs),
-        seed=seed,
-        state=state,
-    )
+    else:
+        states = [
+            _fit_state(algorithm, matrix, params, seed)
+            for matrix, seed in zip(matrices, seeds)
+        ]
+    models = [
+        TrainedModel(
+            algorithm=algorithm,
+            params=dict(params),
+            feature_names=matrix.feature_names,
+            feature_kinds=tuple(s.kind for s in matrix.specs),
+            seed=seed,
+            state=state,
+        )
+        for matrix, seed, state in zip(matrices, seeds, states)
+    ]
+    prune_spec = params.get("prune") if algorithm == "dt" else None
+    if prune_spec is not None:
+        models = [prune(model, prune_spec, seed=model.seed) for model in models]
+    return models
+
+
+def train(
+    algorithm: str,
+    matrix: FeatureMatrix,
+    params: Optional[dict] = None,
+    seed: int = 0,
+) -> TrainedModel:
+    return train_many(algorithm, [matrix], params, [seed])[0]
 
 
 def predict_scores(model: TrainedModel, X: np.ndarray) -> np.ndarray:
@@ -319,7 +344,8 @@ def model_to_json(model: TrainedModel) -> str:
         ) from None
 
 
-def _check_shapes(model: TrainedModel) -> None:
+def _check_state(model: TrainedModel) -> None:
+    """Raises LearnError unless the state of a loaded model can score rows."""
     d = model.n_features
     state = model.state
     if model.algorithm in ("dt", "rf", "ab"):
@@ -337,9 +363,18 @@ def _check_shapes(model: TrainedModel) -> None:
     else:
         arrays = {"mean": (d,), "std": (d,), "weights": (d + 1,)}
     for name, shape in arrays.items():
-        got = getattr(state, name).shape
-        if got != shape:
-            raise LearnError(f"model array {name!r} has shape {got}, expected {shape}")
+        array = getattr(state, name)
+        if array.shape != shape:
+            raise LearnError(f"model array {name!r} has shape {array.shape}, expected {shape}")
+        if name != "is_bernoulli" and array.dtype.kind not in "fiu":
+            raise LearnError(f"model array {name!r} holds values that are not numbers")
+    if model.algorithm in ("knn", "lr") and not np.all(state.std > 0):
+        raise LearnError("model array 'std' holds a value that is not positive")
+    if model.algorithm == "knn" and (type(state.k) is not int or not 1 <= state.k <= len(state.y)):
+        raise LearnError(
+            f"knn k must be an integer from 1 to {len(state.y)} (the stored rows), "
+            f"got {state.k!r}"
+        )
 
 
 def model_from_json(text: str) -> TrainedModel:
@@ -379,5 +414,5 @@ def model_from_json(text: str) -> TrainedModel:
             f"model has {len(model.feature_names)} feature names "
             f"but {len(model.feature_kinds)} feature kinds"
         )
-    _check_shapes(model)
+    _check_state(model)
     return model

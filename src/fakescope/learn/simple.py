@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -133,37 +134,67 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def lr_fit(
-    X: np.ndarray,
-    y: np.ndarray,
+def lr_fit_many(
+    problems: Sequence[tuple[np.ndarray, np.ndarray]],
     ridge: float = 1e-3,
     max_iter: int = 10_000,
     tol: float = 1e-6,
-) -> LogisticState:
-    """Gradient descent on the ridge-penalized logistic loss.
+) -> list[LogisticState]:
+    """Gradient descent on the ridge-penalized logistic loss of each (X, y).
 
-    Fixed step size 1/L, where L bounds the loss curvature; the intercept
-    is not penalized. Stops at the gradient-norm tolerance or the
-    iteration cap.
+    Each problem takes the fixed step 1/L, where L bounds its own loss
+    curvature; the intercept is not penalized. A problem stops at the
+    gradient-norm tolerance or the iteration cap. Problems of one shape
+    descend in lock-step: each batched product runs the BLAS call a lone
+    fit would make, once per problem (`np.einsum` would not), so every
+    state is bit-identical to fitting the problems one at a time.
     """
-    mean, std = standardize_fit(X)
-    Xs = (X - mean) / std
-    n = X.shape[0]
-    Xb = np.hstack([np.ones((n, 1)), Xs])
-    spectral = float(np.linalg.norm(Xb, 2))
-    step = 1.0 / (0.25 * spectral * spectral / n + ridge)
-    w = np.zeros(Xb.shape[1])
-    penalty_mask = np.ones_like(w)
-    penalty_mask[0] = 0.0
-    penalty = ridge * penalty_mask
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        p = _sigmoid(Xb @ w)
-        grad = Xb.T @ (p - y) / n + penalty * w
-        if math.sqrt(grad.dot(grad)) < tol:
-            break
-        w -= step * grad
-    return LogisticState(mean=mean, std=std, weights=w, iterations=iterations)
+    states: list[Optional[LogisticState]] = [None] * len(problems)
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, (X, _) in enumerate(problems):
+        groups.setdefault(X.shape, []).append(i)
+    for (n, d), members in groups.items():
+        moments = [standardize_fit(problems[i][0]) for i in members]
+        Xa = np.stack([
+            np.hstack([np.ones((n, 1)), (problems[i][0] - mean) / std])
+            for i, (mean, std) in zip(members, moments)
+        ])
+        # labels, weights and gradients are stacks of columns, (F, n, 1) and
+        # (F, d + 1, 1), so every product is one matrix-vector call per problem
+        Ya = np.stack([problems[i][1] for i in members])[:, :, None]
+        steps = np.array([
+            1.0 / (0.25 * spectral * spectral / n + ridge)
+            for spectral in (float(np.linalg.norm(Xb, 2)) for Xb in Xa)
+        ])[:, None, None]
+        penalty = np.full((d + 1, 1), ridge)
+        penalty[0] = 0.0
+        W = np.zeros((len(members), d + 1, 1))
+        XaT = Xa.transpose(0, 2, 1)
+        active = np.arange(len(members))
+        weights = np.zeros_like(W)
+        iterations = np.full(len(members), max_iter)
+        for it in range(1, max_iter + 1):
+            P = _sigmoid(np.matmul(Xa, W))
+            G = np.matmul(XaT, P - Ya) / n + penalty * W
+            squared = np.matmul(G.transpose(0, 2, 1), G).ravel()
+            converged = [math.sqrt(v) < tol for v in squared.tolist()]
+            if any(converged):
+                done = np.array(converged)
+                weights[active[done]] = W[done]
+                iterations[active[done]] = it
+                left = ~done
+                active, Xa, Ya, W, G, steps = (
+                    active[left], Xa[left], Ya[left], W[left], G[left], steps[left])
+                if not active.size:
+                    break
+                XaT = Xa.transpose(0, 2, 1)
+            W -= steps * G
+        weights[active] = W
+        for j, i in enumerate(members):
+            mean, std = moments[j]
+            states[i] = LogisticState(
+                mean=mean, std=std, weights=weights[j, :, 0], iterations=int(iterations[j]))
+    return states
 
 
 def lr_scores(state: LogisticState, X: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 from .corpus.model import LabeledDataset
 from .features.catalog import CLASS_A_SPECS, FeatureSpec
 from .features.extract import FeatureMatrix, extract
-from .learn.model import predict_many, train
+from .learn.model import TrainedModel, predict_many, train, train_many
 from .metrics import ConfusionMatrix, mcc
 from .seeding import derive_seed
 
@@ -92,16 +92,10 @@ class SensitivityReport:
         return rows
 
 
-def _fit_cell(
-    algorithm: str,
-    train_matrix: FeatureMatrix,
-    test_matrix: FeatureMatrix,
-    y_test: np.ndarray,
-    params: Optional[dict],
-    seed: int,
+def _test_mcc(
+    model: TrainedModel, test_matrix: FeatureMatrix, y_test: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Train on one matrix; the test MCC and the 0/1 test predictions."""
-    model = train(algorithm, train_matrix, params=params, seed=seed)
+    """A trained model's test MCC and its 0/1 test predictions."""
     _, scores = predict_many(model, test_matrix.values)
     predicted = (scores >= 0.5).astype(np.float64)
     return mcc(ConfusionMatrix.from_predictions(y_test, predicted)), predicted
@@ -118,9 +112,11 @@ def analyze_matrices(
     """The full leave-one-out grid over pre-extracted train/test matrices.
 
     Each fit's seed derives from the master seed, the algorithm and the
-    dropped feature. ``jobs`` is an upper bound on workers; the fits run
-    one at a time, which meets any bound, because thread workers measured
-    slower than none.
+    dropped feature. A classifier's full fit runs alone, because its MCC
+    decides whether the classifier is excluded; its leave-one-out cells
+    then train in one `train_many` call. ``jobs`` is an upper bound on
+    workers; one thread runs every fit, which meets any bound, because
+    thread workers measured slower than none.
     """
     if train_matrix.feature_names != test_matrix.feature_names:
         raise SensitivityError("train/test matrices disagree on features")
@@ -137,10 +133,11 @@ def analyze_matrices(
     cells: list[SensitivityCell] = []
     for algorithm in algorithms:
         algo_id = DEFAULT_ALGORITHMS.index(algorithm)
-        full, full_pred = _fit_cell(
-            algorithm, train_matrix, test_matrix, y_test, params.get(algorithm),
-            derive_seed(seed, 31, algo_id, 0),
+        full_model = train(
+            algorithm, train_matrix, params=params.get(algorithm),
+            seed=derive_seed(seed, 31, algo_id, 0),
         )
+        full, full_pred = _test_mcc(full_model, test_matrix, y_test)
         if full <= 0:
             warnings.warn(
                 f"{algorithm}: full-model MCC {full:.3f} <= 0, excluded from fusion",
@@ -149,15 +146,14 @@ def analyze_matrices(
             excluded.append(algorithm)
             continue
         full_mcc[algorithm] = full
-        for feature in features:
-            score, predicted = _fit_cell(
-                algorithm,
-                train_matrix.drop_feature(feature),
-                test_matrix.drop_feature(feature),
-                y_test,
-                params.get(algorithm),
-                derive_seed(seed, 31, algo_id, features.index(feature) + 1),
-            )
+        models = train_many(
+            algorithm,
+            [train_matrix.drop_feature(feature) for feature in features],
+            params=params.get(algorithm),
+            seeds=[derive_seed(seed, 31, algo_id, features.index(f) + 1) for f in features],
+        )
+        for feature, model in zip(features, models):
+            score, predicted = _test_mcc(model, test_matrix.drop_feature(feature), y_test)
             cells.append(
                 SensitivityCell(
                     algorithm=algorithm,

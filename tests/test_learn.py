@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from fakescope.learn import (
     LearnError,
     class_distribution_sweep,
     cross_validate,
+    cross_validate_matrix,
     model_from_json,
     model_to_json,
     model_tree_stats,
@@ -24,10 +26,13 @@ from fakescope.learn import (
     predict_scores,
     prune,
     train,
+    train_many,
 )
 from fakescope.kernels import best_threshold_split, presort
 from fakescope.learn.ensembles import ab_fit, ab_scores, BoostState
+from fakescope.learn.simple import lr_fit_many
 from fakescope.seeding import derive_seed, make_rng
+from fakescope.sensitivity import analyze_matrices
 
 
 def make_matrix(X, y, kinds=None, prefix="f"):
@@ -284,6 +289,26 @@ class TestModelValidation:
         with pytest.raises(LearnError, match="tree node n '2' is not a number"):
             model_from_json(json.dumps(payload))
 
+    @pytest.mark.parametrize("k", [0, -1, 99, "3", 2.5, True])
+    def test_knn_k_outside_the_stored_rows(self, k):
+        payload = json.loads(model_to_json(train("knn", simple_matrix(), params={"k": 1})))
+        payload["state"]["k"] = k
+        with pytest.raises(LearnError, match="knn k must be an integer from 1 to 4"):
+            model_from_json(json.dumps(payload))
+
+    def test_lr_weights_not_numbers(self):
+        payload = json.loads(model_to_json(train("lr", simple_matrix(), seed=0)))
+        payload["state"]["weights"] = ["a", "b"]
+        with pytest.raises(LearnError, match="'weights' holds values that are not numbers"):
+            model_from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("algo", ["lr", "knn"])
+    def test_std_not_positive(self, algo):
+        payload = json.loads(model_to_json(train(algo, simple_matrix(), params={"k": 1})))
+        payload["state"]["std"] = [0.0]
+        with pytest.raises(LearnError, match="'std' holds a value that is not positive"):
+            model_from_json(json.dumps(payload))
+
     def test_forest_without_trees(self):
         payload = json.loads(model_to_json(train("rf", simple_matrix(), seed=0)))
         payload["state"]["trees"] = []
@@ -353,7 +378,7 @@ class TestSplitSearch:
         assert found == _oracle_split(X, y, w)
 
 
-def _noisy_class_a_matrix():
+def _noisy_class_a_dataset():
     ds = synthesize(SynthConfig.paper_like(seed=23, n_humans=120, n_fakes=120))
     rng = make_rng(31)
     flip = {"fake": "human", "human": "fake"}
@@ -361,7 +386,11 @@ def _noisy_class_a_matrix():
     for uid in ds.account_ids:
         label = ds.accounts[uid].label
         labels[uid] = flip[label] if rng.random() < 0.15 else label
-    return extract(ds.relabeled(labels), CLASS_A_SPECS)
+    return ds.relabeled(labels)
+
+
+def _noisy_class_a_matrix():
+    return extract(_noisy_class_a_dataset(), CLASS_A_SPECS)
 
 
 # sha256 of model_to_json, recorded before the split search was presorted
@@ -378,6 +407,37 @@ def test_tree_models_are_byte_identical_to_golden():
     for algo, (params, digest) in GOLDEN_MODELS.items():
         text = model_to_json(train(algo, matrix, params=params, seed=4))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, algo
+
+
+# sha256 of lr outputs, recorded while each lr fit ran its own descent loop
+GOLDEN_LR = {
+    "model": "c716b2fa6d702173c63873b74bc34904380fcac55f4bde47fdc35de5503eca65",
+    "cv": "1a84ea92786ba2a7f8de2f676ae9216712da06f6efa0699a44a092f3d11e1bab",
+    "sensitivity": "4768b3f4b52f9ebba337ced9d6ba9e8a3123da5c863d7224776b548ab6fc07a7",
+}
+
+
+def test_lr_outputs_are_byte_identical_to_golden():
+    """One model, a 7-fold CV (folds of two sizes) and a dt/nb/lr grid."""
+    dataset = _noisy_class_a_dataset()
+    matrix = extract(dataset, CLASS_A_SPECS)
+    texts = {
+        "model": model_to_json(train("lr", matrix, seed=4)),
+        "cv": json.dumps(
+            cross_validate_matrix("lr", matrix, dataset, k=7, seed=4).as_dict(), sort_keys=True
+        ),
+        "sensitivity": json.dumps(
+            analyze_matrices(
+                matrix.take_rows([i for i in range(matrix.n_rows) if i % 3]),
+                matrix.take_rows(range(0, matrix.n_rows, 3)),
+                algorithms=("dt", "nb", "lr"),
+                seed=4,
+            ).as_rows(),
+            sort_keys=True,
+        ),
+    }
+    for name, text in texts.items():
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_LR[name], name
 
 
 def test_tree_model_json_round_trips_byte_for_byte():
@@ -475,3 +535,110 @@ def test_routed_scores_match_a_walk_of_the_nested_form(case):
         splits = np.flatnonzero(tree.feature >= 0)
         assert np.all(tree.left[splits] > splits) and np.all(tree.right[splits] > splits)
     assert predict_scores(model, X).tolist() == _oracle_scores(model, X)
+
+
+def _oracle_lr_fit(X, y, ridge, max_iter, tol):
+    """One problem, one descent loop, as `lr_fit` ran before `lr_fit_many`
+    replaced it; the reference `lr_fit_many` must match bit for bit."""
+    mean = X.mean(axis=0)
+    std = X.std(axis=0)
+    std = np.where(std > 0, std, 1.0)
+    Xs = (X - mean) / std
+    n = X.shape[0]
+    Xb = np.hstack([np.ones((n, 1)), Xs])
+    spectral = float(np.linalg.norm(Xb, 2))
+    step = 1.0 / (0.25 * spectral * spectral / n + ridge)
+    w = np.zeros(Xb.shape[1])
+    penalty_mask = np.ones_like(w)
+    penalty_mask[0] = 0.0
+    penalty = ridge * penalty_mask
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        z = Xb @ w
+        e = np.exp(-np.abs(z))
+        p = np.where(z >= 0, 1.0, e) / (1.0 + e)
+        grad = Xb.T @ (p - y) / n + penalty * w
+        if math.sqrt(grad.dot(grad)) < tol:
+            break
+        w -= step * grad
+    return mean, std, w, iterations
+
+
+def _lr_problem(rng, n, d, kind):
+    X = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, size=d)
+    if kind == "constant":
+        X[:, rng.integers(d)] = 3.0
+    if kind == "separable":
+        y = (X[:, 0] > np.median(X[:, 0])).astype(np.float64)
+    else:
+        y = (X[:, 0] + rng.normal(scale=2.0, size=n) > 0).astype(np.float64)
+    return X, y
+
+
+def _assert_matches_oracle(problems, ridge, max_iter, tol):
+    states = lr_fit_many(problems, ridge=ridge, max_iter=max_iter, tol=tol)
+    assert len(states) == len(problems)
+    for (X, y), state in zip(problems, states):
+        mean, std, w, iterations = _oracle_lr_fit(X, y, ridge, max_iter, tol)
+        assert state.iterations == iterations
+        assert state.weights.tobytes() == w.tobytes()
+        assert state.mean.tobytes() == mean.tobytes()
+        assert state.std.tobytes() == std.tobytes()
+    return [state.iterations for state in states]
+
+
+@st.composite
+def lr_batches(draw):
+    shapes = [(draw(st.integers(4, 60)), draw(st.integers(1, 5))) for _ in range(2)]
+    problems = []
+    for _ in range(draw(st.integers(1, 6))):
+        n, d = shapes[draw(st.integers(0, 1))]
+        rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+        kind = draw(st.sampled_from(["noisy", "constant", "separable"]))
+        problems.append(_lr_problem(rng, n, d, kind))
+    ridge = draw(st.sampled_from([1e-3, 0.1]))
+    max_iter = draw(st.sampled_from([0, 1, 2]) | st.integers(0, 400))
+    tol = draw(st.sampled_from([1e-1, 1e-2, 1e-3, 1e-6]))
+    return problems, ridge, max_iter, tol
+
+
+class TestLockStepLogistic:
+    @settings(max_examples=200, deadline=None)
+    @given(lr_batches())
+    def test_batch_is_bit_identical_to_one_loop_per_problem(self, batch):
+        _assert_matches_oracle(*batch)
+
+    def test_problems_retire_at_their_own_iteration(self):
+        rng = make_rng(5)
+        problems = [_lr_problem(rng, 40, 3, "noisy") for _ in range(4)]
+        problems += [_lr_problem(rng, 25, 2, "constant"), _lr_problem(rng, 40, 3, "separable")]
+        iterations = _assert_matches_oracle(problems, ridge=1e-3, max_iter=400, tol=1e-4)
+        assert len(set(iterations[:5])) == 5 and max(iterations[:5]) < 400
+        assert iterations[5] == 400  # separable: still descending at the cap
+
+    @pytest.mark.parametrize("max_iter", [0, 1])
+    def test_tiny_iteration_caps(self, max_iter):
+        rng = make_rng(6)
+        problems = [_lr_problem(rng, 10, 2, kind) for kind in ("noisy", "constant")]
+        assert _assert_matches_oracle(problems, 1e-3, max_iter, 1e-6) == [max_iter] * 2
+
+    def test_converged_at_the_first_iteration(self):
+        X = np.array([[0.0], [1.0], [0.0], [1.0]])
+        y = np.array([0.0, 0.0, 1.0, 1.0])
+        assert _assert_matches_oracle([(X, y)], 1e-3, 10, 1e-6) == [1]
+
+    def test_train_many_equals_one_train_per_matrix(self):
+        matrix = _noisy_class_a_matrix()
+        matrices = [matrix.take_rows(range(i, matrix.n_rows, 3)) for i in range(3)]
+        matrices.append(matrix.drop_feature(matrix.feature_names[0]))
+        cases = [("lr", None), ("rf", {"n_trees": 4}), ("knn", None),
+                 ("dt", {"prune": "subtree_raising"})]
+        for algo, params in cases:
+            models = train_many(algo, matrices, params=params, seeds=[1, 2, 3, 4])
+            for matrix_i, seed, model in zip(matrices, [1, 2, 3, 4], models):
+                alone = train(algo, matrix_i, params=params, seed=seed)
+                assert model_to_json(model) == model_to_json(alone), algo
+
+    def test_train_many_needs_one_seed_per_matrix(self):
+        with pytest.raises(LearnError, match="2 matrices but 1 seeds"):
+            train_many("lr", [simple_matrix(), simple_matrix()], None, [0])
