@@ -1,9 +1,10 @@
 """Command-line surface: corpora in, reproducible reports out.
 
-Every command takes --seed (falling back to the FAKESCOPE_SEED environment
-variable, then 0), writes its artifacts under --out, and drops a manifest
-with input/output digests next to them. Exit codes: 0 success, 1 usage
-error, 2 data error.
+Every command but validate and cost takes --seed (falling back to the
+FAKESCOPE_SEED environment variable, then 0) and writes its artifacts under
+--out; validate and cost write only when given --out. Whatever a command
+writes, it records in a manifest with input/output digests next to the
+artifacts. Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -22,7 +24,6 @@ from . import sensitivity as sens_mod
 from .corpus import (
     CorpusError,
     PRESETS,
-    SynthConfig,
     load_dataset,
     rebalance,
     save_dataset,
@@ -34,9 +35,9 @@ from .features.catalog import catalog as feature_catalog
 from .features.catalog import feature_set
 from .features.extract import extract
 from .learn.cv import class_distribution_sweep, cross_validate
-from .learn.model import jsonable_params, model_to_json, train as train_model
+from .learn.model import ALGORITHMS, jsonable_params, model_to_json, train as train_model
 from .learn.tree import LearnError
-from .manifest import RunManifest
+from .manifest import RunManifest, write_json
 from .metrics import MetricError
 from .rules.context import iter_contexts
 from .rules.report import rule_report, run_ruleset
@@ -58,16 +59,16 @@ def _resolve_seed(seed: Optional[int]) -> int:
     if seed is not None:
         return seed
     env = os.environ.get("FAKESCOPE_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise ValueError(f"FAKESCOPE_SEED must be an integer, got {env!r}") from None
 
 
 def _write_rows(path: Path, rows: Sequence[dict], fmt: str) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "json":
-        with open(path.with_suffix(".json"), "w", encoding="utf-8") as fh:
-            json.dump(list(rows), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path.with_suffix(".json")
+        return write_json(path.with_suffix(".json"), list(rows))
+    path.parent.mkdir(parents=True, exist_ok=True)
     columns: list[str] = []
     for row in rows:
         for key in row:
@@ -109,11 +110,30 @@ def _echo_table(rows: Sequence[dict]) -> None:
         click.echo("  ".join(cells[c].ljust(widths[c]) for c in columns))
 
 
-def _manifest(command: str, params: dict, seed: Optional[int]) -> RunManifest:
-    return RunManifest(command=command, parameters=params, seed=seed)
+def _record(out_dir, command: str, params: dict, seed: Optional[int], artifacts, inputs=()) -> None:
+    """Writes the manifest of one run: its parameters, seed and the digests
+    of what it read and wrote."""
+    manifest = RunManifest(command=command, parameters=params, seed=seed)
+    for path in inputs:
+        manifest.add_input(path)
+    for path in artifacts:
+        manifest.add_artifact(path)
+    manifest.write(out_dir)
 
 
-seed_option = click.option("--seed", type=int, default=None, help="Master seed (default: $FAKESCOPE_SEED or 0).")
+def _options(*decorators):
+    """One decorator applying several click options, in the given order."""
+    def apply(command):
+        for decorator in reversed(decorators):
+            command = decorator(command)
+        return command
+    return apply
+
+
+seed_option = click.option(
+    "--seed", type=int, default=None, callback=lambda ctx, param, seed: _resolve_seed(seed),
+    help="Master seed (default: $FAKESCOPE_SEED or 0).",
+)
 out_option = click.option("--out", "out_dir", type=click.Path(), required=True, help="Output directory.")
 format_option = click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 jobs_option = click.option(
@@ -128,6 +148,7 @@ reference_time_option = click.option(
     default=None,
     help="ISO-8601 instant used for account ages (default: newest timestamp + 1 day).",
 )
+corpus_options = _options(seed_option, out_option, format_option, reference_time_option)
 
 
 def _load(src, fmt, reference_time=None):
@@ -149,37 +170,24 @@ def cli():
 @format_option
 def synth(preset, humans, fakes, seed, out_dir, fmt):
     """Generate a deterministic synthetic corpus."""
-    seed = _resolve_seed(seed)
     config = PRESETS[preset](seed=seed)
-    if humans is not None or fakes is not None:
-        config = SynthConfig(
-            n_humans=humans if humans is not None else config.n_humans,
-            n_fakes=fakes if fakes is not None else config.n_fakes,
-            seed=seed,
-            human=config.human,
-            fake=config.fake,
-            reference_time=config.reference_time,
-        )
+    config = replace(
+        config,
+        n_humans=config.n_humans if humans is None else humans,
+        n_fakes=config.n_fakes if fakes is None else fakes,
+    )
     dataset = synthesize(config)
     written = save_dataset(dataset, out_dir, fmt=fmt)
-    manifest = _manifest(
-        "synth", {"preset": preset, "humans": config.n_humans, "fakes": config.n_fakes, "format": fmt}, seed
-    )
-    for path in written.values():
-        manifest.add_artifact(path)
-    manifest.write(out_dir)
+    params = {"preset": preset, "humans": config.n_humans, "fakes": config.n_fakes, "format": fmt}
+    _record(out_dir, "synth", params, seed, written.values())
     click.echo(f"wrote {len(dataset)} accounts to {out_dir}")
 
 
 @cli.command()
 @click.argument("src", type=click.Path())
-@seed_option
-@out_option
-@format_option
-@reference_time_option
+@corpus_options
 def ingest(src, seed, out_dir, fmt, reference_time):
     """Load, validate, and re-serialize a corpus in normalized form."""
-    seed = _resolve_seed(seed)
     dataset = _load(src, fmt=fmt, reference_time=reference_time)
     report = validate(dataset)
     written = save_dataset(dataset, out_dir, fmt=fmt)
@@ -192,16 +200,9 @@ def ingest(src, seed, out_dir, fmt, reference_time):
         "edges": len(dataset.graph.edges) if dataset.graph else 0,
         "violations": len(report),
     }
-    summary_path = Path(out_dir) / "summary.json"
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    manifest = _manifest("ingest", {"src": str(src), "format": fmt}, seed)
-    manifest.add_input(src)
-    for path in written.values():
-        manifest.add_artifact(path)
-    manifest.add_artifact(summary_path)
-    manifest.write(out_dir)
+    summary_path = write_json(Path(out_dir) / "summary.json", summary)
+    _record(out_dir, "ingest", {"src": str(src), "format": fmt}, seed,
+            [*written.values(), summary_path], inputs=[src])
     click.echo(json.dumps(summary, sort_keys=True))
 
 
@@ -219,10 +220,7 @@ def validate_cmd(src, fmt, out_dir, reference_time):
     ]
     if out_dir:
         path = _write_rows(Path(out_dir) / "validation", rows, fmt)
-        manifest = _manifest("validate", {"src": str(src), "format": fmt}, None)
-        manifest.add_input(src)
-        manifest.add_artifact(path)
-        manifest.write(out_dir)
+        _record(out_dir, "validate", {"src": str(src), "format": fmt}, None, [path], inputs=[src])
     if rows:
         _echo_table(rows)
     click.echo(f"{len(rows)} violation(s)")
@@ -232,51 +230,39 @@ def validate_cmd(src, fmt, out_dir, reference_time):
 @click.argument("src", type=click.Path())
 @click.option("--ruleset", type=click.Choice(["cc", "sos", "sb", "all"]), default="all")
 @click.option("--report", "with_report", is_flag=True, help="Also evaluate each rule as a classifier.")
-@seed_option
-@out_option
-@format_option
-@reference_time_option
+@corpus_options
 def rules(src, ruleset, with_report, seed, out_dir, fmt, reference_time):
     """Run the rule-based detectors over a corpus."""
-    seed = _resolve_seed(seed)
     dataset = _load(src, fmt=fmt, reference_time=reference_time)
-    manifest = _manifest("rules", {"src": str(src), "ruleset": ruleset, "report": with_report}, seed)
-    manifest.add_input(src)
     selected = ["cc", "sos", "sb"] if ruleset == "all" else [ruleset]
     contexts = list(iter_contexts(dataset))
-    for name in selected:
-        run = run_ruleset(name, dataset, contexts=contexts)
-        path = _write_rows(Path(out_dir) / f"verdicts_{name}", run.as_rows(), fmt)
-        manifest.add_artifact(path)
+    written = [
+        _write_rows(Path(out_dir) / f"verdicts_{name}",
+                    run_ruleset(name, dataset, contexts=contexts).as_rows(), fmt)
+        for name in selected
+    ]
     if with_report:
         rows = [entry.as_row() for entry in rule_report(dataset, contexts=contexts)]
-        path = _write_rows(Path(out_dir) / "rule_report", rows, fmt)
-        manifest.add_artifact(path)
+        written.append(_write_rows(Path(out_dir) / "rule_report", rows, fmt))
         _echo_table(rows)
-    manifest.write(out_dir)
+    _record(out_dir, "rules", {"src": str(src), "ruleset": ruleset, "report": with_report}, seed,
+            written, inputs=[src])
     click.echo(f"rules written to {out_dir}")
 
 
 @cli.command()
 @click.argument("src", type=click.Path())
 @click.option("--class", "feature_class", type=click.Choice(["a", "b", "c", "all"]), default="all")
-@seed_option
-@out_option
-@format_option
-@reference_time_option
+@corpus_options
 def features(src, feature_class, seed, out_dir, fmt, reference_time):
     """Extract the feature matrix for a corpus."""
-    seed = _resolve_seed(seed)
     dataset = _load(src, fmt=fmt, reference_time=reference_time)
     specs = feature_catalog(None if feature_class == "all" else feature_class)
     matrix = extract(dataset, specs)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = matrix.to_csv(out / "features.csv") if fmt == "csv" else matrix.to_jsonl(out / "features.jsonl")
-    manifest = _manifest("features", {"src": str(src), "class": feature_class}, seed)
-    manifest.add_input(src)
-    manifest.add_artifact(path)
-    manifest.write(out_dir)
+    _record(out_dir, "features", {"src": str(src), "class": feature_class}, seed, [path], inputs=[src])
     click.echo(f"extracted {matrix.n_rows} rows x {len(matrix.specs)} features")
 
 
@@ -295,98 +281,71 @@ def _algo_params(algo: str, trees: int, k_neighbors: int, rounds: int, depth: in
     return params
 
 
-algo_option = click.option(
-    "--algo", type=click.Choice(["dt", "rf", "ab", "knn", "nb", "lr"]), default="rf"
-)
+algo_option = click.option("--algo", type=click.Choice(ALGORITHMS), default="rf")
 features_option = click.option(
     "--features",
     "feature_selector",
     default="class-a",
     help="class-a | class-b | class-c | all | yang | stringhini",
 )
-trees_option = click.option("--trees", type=int, default=64)
-knn_option = click.option("--knn-k", "k_neighbors", type=int, default=5)
-rounds_option = click.option("--rounds", type=int, default=50)
-depth_option = click.option("--depth", type=int, default=1)
-prune_option = click.option("--prune", default=None, help="reduced_error:FOLDS or subtree_raising:CONF")
+model_options = _options(
+    algo_option,
+    features_option,
+    click.option("--trees", type=int, default=64),
+    click.option("--knn-k", "k_neighbors", type=int, default=5),
+    click.option("--rounds", type=int, default=50),
+    click.option("--depth", type=int, default=1),
+    click.option("--prune", default=None, help="reduced_error:FOLDS or subtree_raising:CONF"),
+)
 
 
 @cli.command("train")
 @click.argument("src", type=click.Path())
-@algo_option
-@features_option
-@trees_option
-@knn_option
-@rounds_option
-@depth_option
-@prune_option
-@seed_option
-@out_option
-@format_option
-@reference_time_option
-def train_cmd(src, algo, feature_selector, trees, k_neighbors, rounds, depth, prune, seed, out_dir, fmt, reference_time):
+@model_options
+@corpus_options
+def train_cmd(src, algo, feature_selector, seed, out_dir, fmt, reference_time, **tuning):
     """Train one classifier on a labeled corpus and save the model."""
-    seed = _resolve_seed(seed)
     dataset = _load(src, fmt=fmt, reference_time=reference_time)
-    specs = feature_set(feature_selector)
-    matrix = extract(dataset, specs)
-    params = _algo_params(algo, trees, k_neighbors, rounds, depth, prune)
+    matrix = extract(dataset, feature_set(feature_selector))
+    params = _algo_params(algo, **tuning)
     model = train_model(algo, matrix, params=params, seed=seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     model_path = out / "model.json"
     model_path.write_text(model_to_json(model) + "\n", encoding="utf-8")
-    manifest = _manifest(
-        "train", {"src": str(src), "algo": algo, "features": feature_selector, "params": jsonable_params(params)}, seed
-    )
-    manifest.add_input(src)
-    manifest.add_artifact(model_path)
-    manifest.write(out_dir)
+    _record(out_dir, "train",
+            {"src": str(src), "algo": algo, "features": feature_selector,
+             "params": jsonable_params(params)},
+            seed, [model_path], inputs=[src])
     click.echo(f"model written to {model_path}")
 
 
 @cli.command()
 @click.argument("src", type=click.Path())
-@algo_option
-@features_option
+@model_options
 @click.option("--k", type=int, default=10)
-@trees_option
-@knn_option
-@rounds_option
-@depth_option
-@prune_option
-@seed_option
-@out_option
-@format_option
+@corpus_options
 @jobs_option
-@reference_time_option
-def cv(src, algo, feature_selector, k, trees, k_neighbors, rounds, depth, prune, seed, out_dir, fmt, jobs, reference_time):
-    """K-fold cross-validation with pooled metrics and ROC points."""
-    seed = _resolve_seed(seed)
+def cv(src, algo, feature_selector, k, seed, out_dir, fmt, reference_time, jobs, **tuning):
+    """K-fold cross-validation with pooled metrics and ROC points.
+
+    The tables are always csv; --format picks the corpus file read first."""
     dataset = _load(src, fmt=fmt, reference_time=reference_time)
-    specs = feature_set(feature_selector)
-    params = _algo_params(algo, trees, k_neighbors, rounds, depth, prune)
-    report = cross_validate(algo, dataset, specs, k=k, seed=seed, params=params, jobs=jobs)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    report_json = out / "cv_report.json"
-    with open(report_json, "w", encoding="utf-8") as fh:
-        json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    pooled_row = {"algorithm": algo, "k": k, **report.pooled.as_dict()}
-    report_table = _write_rows(out / "cv_report", [pooled_row], "csv")
-    roc_rows = [{"fpr": p[0], "tpr": p[1]} for p in report.roc.points]
-    roc_path = _write_rows(out / "roc_points", roc_rows, "csv")
-    manifest = _manifest(
-        "cv",
-        {"src": str(src), "algo": algo, "features": feature_selector, "k": k,
-         "params": jsonable_params(params)},
-        seed,
+    params = _algo_params(algo, **tuning)
+    report = cross_validate(
+        algo, dataset, feature_set(feature_selector), k=k, seed=seed, params=params, jobs=jobs
     )
-    manifest.add_input(src)
-    for path in (report_json, report_table, roc_path):
-        manifest.add_artifact(path)
-    manifest.write(out_dir)
+    out = Path(out_dir)
+    pooled_row = {"algorithm": algo, "k": k, **report.pooled.as_dict()}
+    written = [
+        write_json(out / "cv_report.json", report.as_dict()),
+        _write_rows(out / "cv_report", [pooled_row], "csv"),
+        _write_rows(out / "roc_points", [{"fpr": x, "tpr": y} for x, y in report.roc.points], "csv"),
+    ]
+    _record(out_dir, "cv",
+            {"src": str(src), "algo": algo, "features": feature_selector, "k": k,
+             "params": jsonable_params(params)},
+            seed, written, inputs=[src])
     _echo_table([pooled_row])
 
 
@@ -397,34 +356,23 @@ def cv(src, algo, feature_selector, k, trees, k_neighbors, rounds, depth, prune,
 @features_option
 @click.option("--target-size", type=int, required=True)
 @click.option("--k", type=int, default=10)
-@seed_option
-@out_option
-@format_option
-@reference_time_option
+@corpus_options
 def sweep(src, fractions, algo, feature_selector, target_size, k, seed, out_dir, fmt, reference_time):
     """Vary the class distribution and cross-validate at each mixture."""
-    seed = _resolve_seed(seed)
     dataset = _load(src, fmt=fmt, reference_time=reference_time)
     specs = feature_set(feature_selector)
-    fraction_values = _parse_fractions(fractions)
     report = class_distribution_sweep(
-        dataset, algo, fraction_values, target_size=target_size, k=k, seed=seed, specs=specs
+        dataset, algo, _parse_fractions(fractions), target_size=target_size, k=k, seed=seed,
+        specs=specs,
     )
-    path = _write_rows(Path(out_dir) / "sweep", report.as_rows(), fmt)
-    best_path = Path(out_dir) / "best_fractions.json"
-    with open(best_path, "w", encoding="utf-8") as fh:
-        json.dump(report.best_fraction, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    manifest = _manifest(
-        "sweep",
-        {"src": str(src), "algo": algo, "features": feature_selector,
-         "fractions": fractions, "target_size": target_size, "k": k},
-        seed,
-    )
-    manifest.add_input(src)
-    manifest.add_artifact(path)
-    manifest.add_artifact(best_path)
-    manifest.write(out_dir)
+    written = [
+        _write_rows(Path(out_dir) / "sweep", report.as_rows(), fmt),
+        write_json(Path(out_dir) / "best_fractions.json", report.best_fraction),
+    ]
+    _record(out_dir, "sweep",
+            {"src": str(src), "algo": algo, "features": feature_selector,
+             "fractions": fractions, "target_size": target_size, "k": k},
+            seed, written, inputs=[src])
     _echo_table(report.as_rows())
 
 
@@ -466,17 +414,15 @@ def cost(followers, tweets_per_follower, relations_per_follower, friends_per_fol
         friends_per_follower=friends_per_follower,
         followers_per_follower=followers_per_follower,
     )
-    estimate = cost_mod.estimate(profile)
-    row = estimate.as_dict()
+    row = cost_mod.estimate(profile).as_dict()
     _echo_table([row])
     if out_dir:
         path = _write_rows(Path(out_dir) / "cost", [row], fmt)
-        manifest = _manifest("cost", {"followers": followers,
-                                      "tweets_per_follower": tweets_per_follower,
-                                      "friends_per_follower": friends_per_follower,
-                                      "followers_per_follower": followers_per_follower}, None)
-        manifest.add_artifact(path)
-        manifest.write(out_dir)
+        _record(out_dir, "cost",
+                {"followers": followers, "tweets_per_follower": tweets_per_follower,
+                 "friends_per_follower": friends_per_follower,
+                 "followers_per_follower": followers_per_follower},
+                None, [path])
 
 
 @cli.command()
@@ -484,16 +430,12 @@ def cost(followers, tweets_per_follower, relations_per_follower, friends_per_fol
 @click.option("--test", "test_src", type=click.Path(), default=None,
               help="Disjoint test corpus; defaults to a seeded split of TRAIN_SRC.")
 @click.option("--test-fraction", type=float, default=0.3)
-@click.option("--algos", default="dt,rf,ab,knn,nb,lr")
+@click.option("--algos", default=",".join(ALGORITHMS))
 @features_option
-@seed_option
-@out_option
-@format_option
+@corpus_options
 @jobs_option
-@reference_time_option
 def sensitivity(train_src, test_src, test_fraction, algos, feature_selector, seed, out_dir, fmt, jobs, reference_time):
     """Leave-one-feature-out importance fused across classifiers."""
-    seed = _resolve_seed(seed)
     specs = feature_set(feature_selector)
     algorithms = tuple(a.strip() for a in algos.split(",") if a.strip())
     if test_src:
@@ -511,26 +453,15 @@ def sensitivity(train_src, test_src, test_fraction, algos, feature_selector, see
     report = sens_mod.analyze(
         train_set, test_set, algorithms=algorithms, specs=specs, seed=seed, jobs=jobs
     )
-    rows = report.as_rows()
-    path = _write_rows(Path(out_dir) / "sensitivity", rows, fmt)
-    detail_path = Path(out_dir) / "sensitivity_cells.json"
-    with open(detail_path, "w", encoding="utf-8") as fh:
-        json.dump(
-            [cell.__dict__ for cell in report.cells], fh, indent=2, sort_keys=True, default=float
-        )
-        fh.write("\n")
-    manifest = _manifest(
-        "sensitivity",
-        {"train": str(train_src), "test": str(test_src) if test_src else f"split:{test_fraction}",
-         "algos": list(algorithms), "features": feature_selector, "jobs": jobs},
-        seed,
-    )
-    manifest.add_input(train_src)
-    if test_src:
-        manifest.add_input(test_src)
-    manifest.add_artifact(path)
-    manifest.add_artifact(detail_path)
-    manifest.write(out_dir)
+    written = [
+        _write_rows(Path(out_dir) / "sensitivity", report.as_rows(), fmt),
+        write_json(Path(out_dir) / "sensitivity_cells.json",
+                   [cell.__dict__ for cell in report.cells], default=float),
+    ]
+    _record(out_dir, "sensitivity",
+            {"train": str(train_src), "test": str(test_src) if test_src else f"split:{test_fraction}",
+             "algos": list(algorithms), "features": feature_selector, "jobs": jobs},
+            seed, written, inputs=[p for p in (train_src, test_src) if p])
     bar_rows = [
         {"rank": s.rank, "feature": s.feature,
          "score": s.normalized_importance,

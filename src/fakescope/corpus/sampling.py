@@ -6,12 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..seeding import make_rng
 from .errors import CorpusError
 from .model import FAKE, HUMAN, LabeledDataset
-
-
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
 def _ids_by_class(dataset: LabeledDataset) -> tuple[list[str], list[str]]:
@@ -38,7 +35,7 @@ def rebalance(
         raise CorpusError(f"not enough human accounts: need {n_humans}, have {len(humans)}")
     if len(fakes) < n_fakes:
         raise CorpusError(f"not enough fake accounts: need {n_fakes}, have {len(fakes)}")
-    rng = _rng(seed)
+    rng = make_rng(seed)
     picked = [humans[i] for i in rng.permutation(len(humans))[:n_humans]]
     picked += [fakes[i] for i in rng.permutation(len(fakes))[:n_fakes]]
     return dataset.subset(
@@ -68,7 +65,7 @@ def split_folds(dataset: LabeledDataset, k: int, seed: int = 0) -> FoldPlan:
         raise CorpusError("k must be at least 2")
     if k > len(dataset):
         raise CorpusError(f"k={k} exceeds dataset size {len(dataset)}")
-    rng = _rng(seed)
+    rng = make_rng(seed)
     humans, fakes = _ids_by_class(dataset)
     unlabeled = [
         a.user_id for a in dataset.accounts.values() if a.label not in (HUMAN, FAKE)

@@ -15,6 +15,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
+from ..seeding import make_rng
 from .errors import CorpusError
 from .model import (
     FAKE,
@@ -360,7 +361,7 @@ def _timeline(
 def synthesize(config: SynthConfig) -> LabeledDataset:
     """Generate a labeled corpus; a pure function of the config (seed included)."""
     config.check()
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
+    rng = make_rng(config.seed)
     ref = config.reference_time
 
     # shared pool of off-dataset neighbors (celebrities, ordinary strangers)

@@ -11,6 +11,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from ..kernels import best_threshold_split, presort
+from ..seeding import make_rng
 
 GAIN_EPS = 1e-12
 
@@ -305,7 +306,7 @@ def reduced_error_prune(
         raise LearnError("folds must be at least 2")
     if folds > n:
         raise LearnError(f"folds={folds} exceeds training size {n}")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = make_rng(seed)
     held = max(1, n // folds)
     prune_idx = rng.permutation(n)[:held]
     Xp = X[prune_idx]

@@ -21,6 +21,18 @@ TOOL_VERSION = "0.1.0"
 MANIFEST_NAME = "manifest.json"
 
 
+def write_json(path, payload, **options) -> Path:
+    """The one JSON layout of every artifact: indent 2, sorted keys and a
+    trailing newline; creates the parent directory. ``options`` go to
+    ``json.dump`` (e.g. ``default=float``)."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, **options)
+        fh.write("\n")
+    return path
+
+
 def sha256_file(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -52,10 +64,7 @@ class RunManifest:
         self.artifacts[Path(path).name] = sha256_file(path)
 
     def write(self, out_dir) -> Path:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         self.created_at = datetime.now(timezone.utc).isoformat()
-        target = out / MANIFEST_NAME
         payload = {
             "command": self.command,
             "parameters": self.parameters,
@@ -65,10 +74,7 @@ class RunManifest:
             "tool_version": self.tool_version,
             "created_at": self.created_at,
         }
-        with open(target, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return target
+        return write_json(Path(out_dir) / MANIFEST_NAME, payload)
 
 
 def load_manifest(path) -> dict:

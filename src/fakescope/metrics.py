@@ -146,33 +146,21 @@ def roc_auc(scores: Sequence[float], labels: Iterable) -> RocResult:
     n_human = int(np.sum(y == 0))
     if n_fake == 0 or n_human == 0:
         raise MetricError("roc_auc needs both classes present")
+    if np.isnan(s).any():
+        raise MetricError("roc_auc scores contain NaN")
 
-    order = np.argsort(s, kind="stable")
-    sorted_scores = s[order]
-    ranks = np.empty(len(s), dtype=np.float64)
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # midrank, 1-based
-        i = j + 1
+    # one group per distinct score, ascending; a group's rows share its midrank
+    _, group, count = np.unique(s, return_inverse=True, return_counts=True)
+    start = np.cumsum(count) - count
+    ranks = (0.5 * (start + start + count - 1) + 1.0)[group]  # 1-based
     rank_sum = float(np.sum(ranks[y == 1]))
     auc = (rank_sum - n_fake * (n_fake + 1) / 2.0) / (n_fake * n_human)
 
-    points: list[tuple[float, float]] = [(0.0, 0.0)]
-    tp = fp = 0
-    desc = np.argsort(-s, kind="stable")
-    k = 0
-    while k < len(s):
-        value = s[desc[k]]
-        while k < len(s) and s[desc[k]] == value:
-            if y[desc[k]] == 1:
-                tp += 1
-            else:
-                fp += 1
-            k += 1
-        points.append((fp / n_human, tp / n_fake))
+    # one ROC point per distinct score, from the highest threshold down
+    fakes = np.bincount(group[y == 1], minlength=len(count))
+    tp = np.cumsum(fakes[::-1])
+    fp = np.cumsum((count - fakes)[::-1])
+    points = [(0.0, 0.0), *zip((fp / n_human).tolist(), (tp / n_fake).tolist())]
     return RocResult(auc=float(auc), points=tuple(points))
 
 

@@ -21,13 +21,11 @@ import numpy as np
 from .corpus.model import LabeledDataset
 from .features.catalog import CLASS_A_SPECS, FeatureSpec
 from .features.extract import FeatureMatrix, extract
-from .learn.model import TrainedModel, predict_many, train, train_many
+from .learn.model import ALGORITHMS, TrainedModel, predict_many, train, train_many
 from .metrics import ConfusionMatrix, mcc
 from .seeding import derive_seed
 
 EPSILON = 1e-6
-
-DEFAULT_ALGORITHMS = ("dt", "rf", "ab", "knn", "nb", "lr")
 
 
 class SensitivityError(ValueError):
@@ -104,7 +102,7 @@ def _test_mcc(
 def analyze_matrices(
     train_matrix: FeatureMatrix,
     test_matrix: FeatureMatrix,
-    algorithms: Sequence[str] = DEFAULT_ALGORITHMS,
+    algorithms: Sequence[str] = ALGORITHMS,
     seed: int = 0,
     params: Optional[dict] = None,
     jobs: int = 1,
@@ -118,6 +116,16 @@ def analyze_matrices(
     workers; one thread runs every fit, which meets any bound, because
     thread workers measured slower than none.
     """
+    roster = ", ".join(ALGORITHMS)
+    if not algorithms:
+        raise SensitivityError(f"no classifiers given; choose from {roster}")
+    for i, algorithm in enumerate(algorithms):
+        if algorithm not in ALGORITHMS:
+            raise SensitivityError(f"unknown classifier {algorithm!r}; choose from {roster}")
+        if algorithm in algorithms[:i]:
+            raise SensitivityError(
+                f"classifier {algorithm!r} is listed twice; choose each of {roster} at most once"
+            )
     if train_matrix.feature_names != test_matrix.feature_names:
         raise SensitivityError("train/test matrices disagree on features")
     if set(train_matrix.account_ids) & set(test_matrix.account_ids):
@@ -132,7 +140,7 @@ def analyze_matrices(
     excluded: list[str] = []
     cells: list[SensitivityCell] = []
     for algorithm in algorithms:
-        algo_id = DEFAULT_ALGORITHMS.index(algorithm)
+        algo_id = ALGORITHMS.index(algorithm)
         full_model = train(
             algorithm, train_matrix, params=params.get(algorithm),
             seed=derive_seed(seed, 31, algo_id, 0),
@@ -218,7 +226,7 @@ def analyze_matrices(
 def analyze(
     train_set: LabeledDataset,
     test_set: LabeledDataset,
-    algorithms: Sequence[str] = DEFAULT_ALGORITHMS,
+    algorithms: Sequence[str] = ALGORITHMS,
     specs: Sequence[FeatureSpec] = CLASS_A_SPECS,
     seed: int = 0,
     params: Optional[dict] = None,

@@ -1,11 +1,16 @@
 """CLI surface: exit codes, artifacts, manifests, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fakescope
 from fakescope.cli import main
+from fakescope.corpus import PRESETS, SynthConfig
 from fakescope.manifest import load_manifest, verify_artifacts
 
 
@@ -84,6 +89,24 @@ class TestSynth:
         monkeypatch.delenv("FAKESCOPE_SEED")
         run(["synth", "--humans", "40", "--fakes", "40", "--seed", "3", "--out", tmp_path / "flag"])
         assert tree_bytes(tmp_path / "env") == tree_bytes(tmp_path / "flag")
+
+    def test_bad_env_seed_is_a_data_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("FAKESCOPE_SEED", "seven")
+        assert run(["synth", "--humans", "4", "--fakes", "4", "--out", tmp_path]) == 2
+        assert "FAKESCOPE_SEED must be an integer, got 'seven'" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+        # a --seed on the command line wins over the variable; cost takes no seed
+        assert run(["synth", "--humans", "4", "--fakes", "4", "--seed", "1", "--out", tmp_path]) == 0
+        assert run(["cost", "--followers", "1"]) == 0
+
+    def test_size_override_keeps_the_other_preset_fields(self, tmp_path, monkeypatch):
+        def small_pool(seed):
+            return SynthConfig(n_humans=5, n_fakes=5, seed=seed, n_external_neighbors=50)
+
+        monkeypatch.setitem(PRESETS, "paper-like", small_pool)
+        assert run(["synth", "--humans", "10", "--out", tmp_path]) == 0
+        rows = (tmp_path / "neighbors.csv").read_text().splitlines()
+        assert len(rows) == 1 + 50
 
 
 class TestPipelineCommands:
@@ -185,3 +208,47 @@ class TestPipelineCommands:
         rows = (out / "sensitivity.csv").read_text().splitlines()
         assert len(rows) == 20  # header + 19 features
         assert (out / "sensitivity_cells.json").exists()
+
+
+class TestSensitivityAlgos:
+    @pytest.mark.parametrize(
+        ("algos", "message"),
+        [
+            ("dt,xx", "unknown classifier 'xx'"),
+            ("DT", "unknown classifier 'DT'"),
+            ("", "no classifiers given"),
+            (" , ", "no classifiers given"),
+            ("dt,nb,dt", "classifier 'dt' is listed twice"),
+        ],
+    )
+    def test_bad_roster_exits_2_and_names_it(self, corpus_dir, tmp_path, capsys, algos, message):
+        assert run(["sensitivity", corpus_dir, "--algos", algos, "--out", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "dt, rf, ab, knn, nb, lr" in err
+        assert not (tmp_path / "manifest.json").exists()
+
+
+def test_sensitivity_as_a_subprocess_prints_only_its_table(tmp_path):
+    """stdout ends with the last table row and stderr stays empty, so a
+    caller reading the last line of the output reads the command's own."""
+    env = {**os.environ, "PYTHONPATH": str(Path(fakescope.__file__).parents[1])}
+    env.pop("FAKESCOPE_SEED", None)
+
+    def cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "fakescope.cli", *map(str, argv)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+
+    corpus = cli("synth", "--humans", "30", "--fakes", "30", "--seed", "7", "--out",
+                 tmp_path / "corpus")
+    assert corpus.returncode == 0, corpus.stderr
+    done = cli("sensitivity", tmp_path / "corpus", "--algos", "dt,nb", "--features", "yang",
+               "--seed", "7", "--jobs", "2", "--out", tmp_path / "sens")
+    assert done.returncode == 0
+    assert done.stderr == ""
+    last_row = (tmp_path / "sens" / "sensitivity.csv").read_text().splitlines()[-1]
+    rank, feature = last_row.split(",")[:2]
+    assert done.stdout.endswith("\n")
+    assert done.stdout.splitlines()[-1].split()[:2] == [rank, feature]

@@ -22,6 +22,41 @@ from fakescope.metrics import (
 # --- independent oracles (plain python, no shared code paths) ---------------
 
 
+def loop_roc_auc(scores, labels):
+    """The midrank and ROC loops that ``roc_auc`` ran before it grouped tied
+    scores with ``np.unique``: the oracle for bit-equal AUC and points."""
+    y = as01(labels)
+    s = np.asarray(scores, dtype=np.float64)
+    n_fake = int(np.sum(y == 1))
+    n_human = int(np.sum(y == 0))
+    order = np.argsort(s, kind="stable")
+    sorted_scores = s[order]
+    ranks = np.empty(len(s), dtype=np.float64)
+    i = 0
+    while i < len(s):
+        j = i
+        while j + 1 < len(s) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    rank_sum = float(np.sum(ranks[y == 1]))
+    auc = (rank_sum - n_fake * (n_fake + 1) / 2.0) / (n_fake * n_human)
+    points = [(0.0, 0.0)]
+    tp = fp = 0
+    desc = np.argsort(-s, kind="stable")
+    k = 0
+    while k < len(s):
+        value = s[desc[k]]
+        while k < len(s) and s[desc[k]] == value:
+            if y[desc[k]] == 1:
+                tp += 1
+            else:
+                fp += 1
+            k += 1
+        points.append((fp / n_human, tp / n_fake))
+    return float(auc), tuple(points)
+
+
 def oracle_mcc(tp, tn, fp, fn):
     denom = (tp + fn) * (tp + fp) * (tn + fp) * (tn + fn)
     if denom == 0:
@@ -185,6 +220,37 @@ class TestRocAuc:
             for (x0, y0), (x1, y1) in zip(result.points, result.points[1:])
         )
         assert result.auc == pytest.approx(area, abs=1e-12)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(-5, 5, allow_nan=False),
+                st.sampled_from([-math.inf, -1.0, -0.0, 0.0, 0.25, 0.5, 1.0, math.inf]),
+            ),
+            min_size=2,
+            max_size=60,
+        ),
+        st.data(),
+    )
+    @settings(max_examples=300)
+    def test_bit_equal_to_the_loops(self, scores, data):
+        labels = data.draw(
+            st.lists(st.sampled_from([0, 1]), min_size=len(scores), max_size=len(scores))
+        )
+        if len(set(labels)) < 2:
+            return
+        result = roc_auc(scores, labels)
+        auc, points = loop_roc_auc(scores, labels)
+        assert type(result.auc) is float
+        assert result.auc.hex() == auc.hex()
+        assert len(result.points) == len(points)
+        for got, want in zip(result.points, points):
+            assert [type(v) for v in got] == [float, float]
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_nan_score_rejected(self):
+        with pytest.raises(MetricError, match="NaN"):
+            roc_auc([0.1, float("nan"), 0.3], [1, 0, 1])
 
     def test_complement_without_ties(self, rng):
         scores = rng.permutation(20).astype(float).tolist()
