@@ -429,7 +429,8 @@ def cost(followers, tweets_per_follower, relations_per_follower, friends_per_fol
 @click.argument("train_src", type=click.Path())
 @click.option("--test", "test_src", type=click.Path(), default=None,
               help="Disjoint test corpus; defaults to a seeded split of TRAIN_SRC.")
-@click.option("--test-fraction", type=float, default=0.3)
+@click.option("--test-fraction", type=click.FloatRange(0, 1, min_open=True, max_open=True),
+              default=0.3, help="Share of TRAIN_SRC held out for testing when --test is not given.")
 @click.option("--algos", default=",".join(ALGORITHMS))
 @features_option
 @corpus_options
@@ -445,6 +446,10 @@ def sensitivity(train_src, test_src, test_fraction, algos, feature_selector, see
         full = _load(train_src, fmt=fmt, reference_time=reference_time)
         counts = full.class_counts()
         test_size = int(len(full) * test_fraction)
+        if test_size == 0:
+            raise ValueError(
+                f"--test-fraction {test_fraction} of {len(full)} accounts holds out 0 test accounts"
+            )
         frac = counts["human"] / max(1, counts["human"] + counts["fake"])
         test_set = rebalance(full, frac, test_size, seed=seed + 1)
         held_out = set(test_set.account_ids)

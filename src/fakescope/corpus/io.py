@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 from datetime import datetime, timedelta
+from json.encoder import encode_basestring_ascii as json_string
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Mapping, Optional, Sequence
@@ -463,8 +464,13 @@ def save_dataset(dataset: LabeledDataset, out_dir, fmt: str = "csv") -> dict[str
                 writer.writerow(columns)
                 writer.writerows(rows)
         else:
+            # the bytes of json.dumps(..., sort_keys=True) for a row of
+            # strings, with the keys sorted and encoded once per table
+            order = sorted(range(len(columns)), key=columns.__getitem__)
+            keys = [(json_string(columns[i]) + ": ", i) for i in order]
             with open(path, "w", encoding="utf-8") as fh:
                 for row in rows:
-                    fh.write(json.dumps(dict(zip(columns, row)), sort_keys=True) + "\n")
+                    cells = ", ".join([key + json_string(row[i]) for key, i in keys])
+                    fh.write("{" + cells + "}\n")
         written[name] = path
     return written

@@ -193,9 +193,6 @@ class LabeledDataset:
             raise KeyError("tweets withheld from this dataset")
         return self.tweets.get(user_id, ())
 
-    def labels(self) -> dict[str, str]:
-        return {a.user_id: a.label for a in self.accounts.values() if a.label in LABELS}
-
     def class_counts(self) -> dict[str, int]:
         counts = {HUMAN: 0, FAKE: 0}
         for a in self.accounts.values():

@@ -17,14 +17,13 @@ from .catalog import (
     feature_set,
     specs_by_names,
 )
+from ..rules.context import NeighborStats, neighbor_stats
 from .extract import (
     FeatureMatrix,
-    NeighborStats,
     api_tweet_similarity,
     bidirectional_link_ratio,
     extract,
     message_similarity,
-    neighbor_stats,
 )
 
 __all__ = [

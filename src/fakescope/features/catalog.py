@@ -159,4 +159,7 @@ def feature_set(selector: str) -> tuple[FeatureSpec, ...]:
         return specs_by_names(YANG_SET)
     if key == "stringhini":
         return specs_by_names(STRINGHINI_SET)
-    raise KeyError(f"unknown feature set {selector!r}")
+    raise ValueError(
+        f"unknown feature set {selector!r}; "
+        "expected one of class-a, class-b, class-c, all, yang, stringhini"
+    )

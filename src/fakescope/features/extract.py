@@ -2,32 +2,25 @@
 
 All ratios are kept finite: x/0 is 0 for a zero numerator and a large cap
 otherwise. Boolean features are encoded 0/1. Rows are ordered by account id
-so extraction is deterministic and safely parallelizable per account.
+and each account's values depend on that account's context alone, so
+extraction is deterministic.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import statistics
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ..corpus.errors import DanglingReferenceError, InsufficientDataError
+from ..corpus.errors import InsufficientDataError
 from ..corpus.model import Account, LabeledDataset, RelationshipGraph, Tweet
 from ..metrics import MetricError
-from ..rules.catalog import (
-    RuleId,
-    account_age_days,
-    capped_ratio,
-    evaluate_rule,
-    fraction,
-)
-from ..rules.context import AccountContext, TimelineCounts, picture_counts
+from ..rules.catalog import RuleId, account_age_days, evaluate_rule
+from ..rules.context import AccountContext, capped_ratio, fraction, iter_contexts
 from .catalog import CLASS_A, CLASS_B, CLASS_C, FeatureSpec, by_name
 
 SIMILARITY_WINDOW = 15
@@ -66,45 +59,6 @@ def api_tweet_similarity(
     )
 
 
-@dataclass(frozen=True)
-class NeighborStats:
-    avg_neighbors_followers: float
-    avg_neighbors_tweets: float
-    friends_to_median_neighbors_followers: float
-
-
-def _neighbor_values(graph: RelationshipGraph, ids: Iterable[str], field: str) -> list[int]:
-    values = []
-    for nid in ids:
-        summary = graph.stats_for(nid)
-        if summary is None:
-            raise DanglingReferenceError(f"no summary for neighbor {nid}")
-        values.append(getattr(summary, field))
-    return values
-
-
-def neighbor_stats(account: Account, graph: RelationshipGraph) -> NeighborStats:
-    """Relationship statistics; zero-degree accounts impute to zero."""
-    friends = graph.friends_of(account.user_id)
-    followers = graph.followers_of(account.user_id)
-    friend_followers = _neighbor_values(graph, friends, "followers_count")
-    follower_statuses = _neighbor_values(graph, followers, "statuses_count")
-    avg_friends = sum(friend_followers) / len(friend_followers) if friend_followers else 0.0
-    avg_followers = (
-        sum(follower_statuses) / len(follower_statuses) if follower_statuses else 0.0
-    )
-    if friend_followers:
-        median = statistics.median(friend_followers)
-        ratio = capped_ratio(account.friends_count, median)
-    else:
-        ratio = 0.0
-    return NeighborStats(
-        avg_neighbors_followers=avg_friends,
-        avg_neighbors_tweets=avg_followers,
-        friends_to_median_neighbors_followers=ratio,
-    )
-
-
 def bidirectional_link_ratio(account: Account, graph: RelationshipGraph) -> float:
     friends = graph.friends_of(account.user_id)
     if not friends:
@@ -113,40 +67,11 @@ def bidirectional_link_ratio(account: Account, graph: RelationshipGraph) -> floa
     return mutual / len(friends)
 
 
-@dataclass(frozen=True)
-class FeatureContext:
-    rule_ctx: AccountContext
-    graph: Optional[RelationshipGraph]
-
-    @property
-    def account(self) -> Account:
-        return self.rule_ctx.account
-
-    def timeline(self) -> tuple[Tweet, ...]:
-        if self.rule_ctx.tweets is None:
-            raise InsufficientDataError("timeline withheld")
-        return self.rule_ctx.tweets
-
-    @property
-    def counts(self) -> TimelineCounts:
-        return self.rule_ctx.timeline_counts
-
-    def need_graph(self) -> RelationshipGraph:
-        if self.graph is None:
-            raise InsufficientDataError("graph withheld")
-        return self.graph
-
-    @cached_property
-    def neighbors(self) -> NeighborStats:
-        """The account's neighbor statistics, computed on first use."""
-        return neighbor_stats(self.account, self.need_graph())
-
-
-def _rule_flag(ruleset: str, index: int) -> Callable[[FeatureContext], float]:
+def _rule_flag(ruleset: str, index: int) -> Callable[[AccountContext], float]:
     rule = RuleId(ruleset, index)
 
-    def fn(ctx: FeatureContext) -> float:
-        return float(evaluate_rule(rule, ctx.rule_ctx).satisfied)
+    def fn(ctx: AccountContext) -> float:
+        return float(evaluate_rule(rule, ctx).satisfied)
 
     return fn
 
@@ -154,19 +79,17 @@ def _rule_flag(ruleset: str, index: int) -> Callable[[FeatureContext], float]:
 #: The data each cost class reads: A the profile, B the timeline, C the graph.
 _REQUIREMENTS = {CLASS_A: "profile", CLASS_B: "timeline", CLASS_C: "graph"}
 
-_FUNCTIONS: dict[str, Callable[[FeatureContext], float]] = {
+_FUNCTIONS: dict[str, Callable[[AccountContext], float]] = {
     # Class A: profile only
     "friends_followers_sq_ratio": lambda ctx: capped_ratio(
         ctx.account.friends_count, ctx.account.followers_count**2
     ),
-    "age_days": lambda ctx: account_age_days(ctx.rule_ctx),
+    "age_days": account_age_days,
     "statuses_count": lambda ctx: float(ctx.account.statuses_count),
     "has_name": _rule_flag("CC", 1),
     "friends_count": lambda ctx: float(ctx.account.friends_count),
     "has_profile_url": _rule_flag("CC", 9),
-    "following_rate": lambda ctx: capped_ratio(
-        ctx.account.friends_count, account_age_days(ctx.rule_ctx)
-    ),
+    "following_rate": lambda ctx: capped_ratio(ctx.account.friends_count, account_age_days(ctx)),
     "default_image_after_two_months": _rule_flag("SB", 7),
     "in_public_list": _rule_flag("CC", 6),
     "has_custom_image": _rule_flag("CC", 2),
@@ -199,12 +122,12 @@ _FUNCTIONS: dict[str, Callable[[FeatureContext], float]] = {
     "repeats_same_tweet": _rule_flag("SB", 3),
     "mostly_retweets": _rule_flag("SB", 4),
     "mostly_links": _rule_flag("SB", 5),
-    "num_retweets": lambda ctx: float(ctx.counts.retweets),
-    "num_url_tweets": lambda ctx: float(ctx.counts.urls),
+    "num_retweets": lambda ctx: float(ctx.timeline_counts.retweets),
+    "num_url_tweets": lambda ctx: float(ctx.timeline_counts.urls),
     "message_similarity": lambda ctx: float(message_similarity(ctx.timeline())),
-    "url_ratio": lambda ctx: fraction(ctx.counts.urls, ctx.counts.tweets),
-    "api_ratio": lambda ctx: fraction(ctx.counts.api, ctx.counts.tweets),
-    "api_url_ratio": lambda ctx: fraction(ctx.counts.api_urls, ctx.counts.api),
+    "url_ratio": lambda ctx: fraction(ctx.timeline_counts.urls, ctx.timeline_counts.tweets),
+    "api_ratio": lambda ctx: fraction(ctx.timeline_counts.api, ctx.timeline_counts.tweets),
+    "api_url_ratio": lambda ctx: fraction(ctx.timeline_counts.api_urls, ctx.timeline_counts.api),
     "api_tweet_similarity": lambda ctx: float(api_tweet_similarity(ctx.timeline())),
     # Class C: relationships
     "bidirectional_link_ratio": lambda ctx: bidirectional_link_ratio(
@@ -218,7 +141,7 @@ _FUNCTIONS: dict[str, Callable[[FeatureContext], float]] = {
 }
 
 #: name -> (the data the feature needs, its extractor)
-_EXTRACTORS: dict[str, tuple[str, Callable[[FeatureContext], float]]] = {
+_EXTRACTORS: dict[str, tuple[str, Callable[[AccountContext], float]]] = {
     name: (_REQUIREMENTS[by_name(name).cost_class], fn) for name, fn in _FUNCTIONS.items()
 }
 
@@ -310,20 +233,12 @@ def extract(dataset: LabeledDataset, specs: Sequence[FeatureSpec]) -> FeatureMat
         if requirement == "graph" and dataset.graph is None:
             raise InsufficientDataError(f"feature {name!r} needs the graph, which was not loaded")
 
-    counts = picture_counts(dataset)
     rows = np.empty((len(dataset), len(specs)), dtype=np.float64)
     labels: list[Optional[str]] = []
-    for i, uid in enumerate(dataset.accounts):
-        rule_ctx = AccountContext(
-            account=dataset.accounts[uid],
-            tweets=None if dataset.tweets is None else dataset.timeline(uid),
-            reference_time=dataset.reference_time,
-            fingerprint_counts=counts,
-        )
-        ctx = FeatureContext(rule_ctx=rule_ctx, graph=dataset.graph)
+    for i, ctx in enumerate(iter_contexts(dataset)):
         for j, spec in enumerate(specs):
             rows[i, j] = _EXTRACTORS[spec.name][1](ctx)
-        labels.append(dataset.accounts[uid].label)
+        labels.append(ctx.account.label)
     if not np.all(np.isfinite(rows)):
         raise ValueError("extraction produced non-finite values")
     return FeatureMatrix(

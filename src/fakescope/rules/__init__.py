@@ -9,7 +9,6 @@ from .catalog import (
     SOS,
     RuleId,
     RuleOutcome,
-    capped_ratio,
     describe,
     evaluate_rule,
     rule_ids,
@@ -18,7 +17,7 @@ from .context import (
     DEFAULT_SPAM_PHRASES,
     DUPLICATE_PICTURE_MIN,
     AccountContext,
-    build_context,
+    capped_ratio,
     iter_contexts,
 )
 from .report import RuleEvaluation, RulesetRun, rule_report, run_ruleset
@@ -52,7 +51,6 @@ __all__ = [
     "VERDICT_HUMAN",
     "VERDICT_NEUTRAL",
     "api_only",
-    "build_context",
     "capped_ratio",
     "cc_classify",
     "describe",

@@ -12,7 +12,13 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..corpus.errors import InsufficientDataError
-from .context import DUPLICATE_PICTURE_MIN, PUNCTUATION, AccountContext
+from .context import (
+    DUPLICATE_PICTURE_MIN,
+    PUNCTUATION,
+    AccountContext,
+    capped_ratio,
+    fraction,
+)
 
 CC = "CC"
 SOS = "SOS"
@@ -21,22 +27,8 @@ SB = "SB"
 MEANS_HUMAN = "satisfied-means-human"
 MEANS_FAKE = "satisfied-means-fake"
 
-#: x/0 with a positive numerator maps to this cap so ratios stay finite.
-RATIO_CAP = 1e9
-
 SECONDS_PER_DAY = 86400.0
 TWO_MONTHS_DAYS = 60.0
-
-
-def capped_ratio(numerator: float, denominator: float) -> float:
-    if denominator > 0:
-        return numerator / denominator
-    return 0.0 if numerator == 0 else RATIO_CAP
-
-
-def fraction(count: int, total: int) -> float:
-    """count / total; 0 for an empty total (a timeline with no tweets)."""
-    return count / total if total else 0.0
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,24 @@
-"""Per-account evaluation context for the rule catalog."""
+"""The per-account context that the rule catalog and the feature extractors
+read, and the pure helpers both share."""
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass
 from datetime import datetime
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from ..corpus.errors import InsufficientDataError
-from ..corpus.model import WEB_SOURCES, Account, LabeledDataset, Tweet, normalize_source, strip_urls
+from ..corpus.errors import DanglingReferenceError, InsufficientDataError
+from ..corpus.model import (
+    WEB_SOURCES,
+    Account,
+    LabeledDataset,
+    RelationshipGraph,
+    Tweet,
+    normalize_source,
+    strip_urls,
+)
 
 DEFAULT_SPAM_PHRASES = ("diet", "make money", "work from home")
 
@@ -23,6 +33,20 @@ SOURCE_KEYWORDS = ("iphone", "android", "foursquare", "instagram")
 
 #: Newest tweets the same-sentence rule looks at.
 SAME_SENTENCE_WINDOW = 20
+
+#: x/0 with a positive numerator maps to this cap so ratios stay finite.
+RATIO_CAP = 1e9
+
+
+def capped_ratio(numerator: float, denominator: float) -> float:
+    if denominator > 0:
+        return numerator / denominator
+    return 0.0 if numerator == 0 else RATIO_CAP
+
+
+def fraction(count: int, total: int) -> float:
+    """count / total; 0 for an empty total (a timeline with no tweets)."""
+    return count / total if total else 0.0
 
 
 @dataclass(frozen=True)
@@ -99,9 +123,10 @@ class TextCounts:
     same_sentence: bool
 
 
-def text_counts(tweets: Sequence[Tweet], spam_phrases: Sequence[str]) -> TextCounts:
-    """Every count of ``TextCounts`` in one pass over ``tweets`` (newest first)."""
-    phrases = tuple(p.lower() for p in spam_phrases)
+def text_counts(tweets: Sequence[Tweet], phrases: Sequence[str]) -> TextCounts:
+    """Every count of ``TextCounts`` in one pass over ``tweets`` (newest
+    first); a tweet is spam when it holds one of ``phrases``."""
+    phrases = tuple(p.lower() for p in phrases)
     punctuation = beyond_urls = spam = 0
     repeats: dict[str, int] = {}
     for t in tweets:
@@ -135,37 +160,89 @@ def text_counts(tweets: Sequence[Tweet], spam_phrases: Sequence[str]) -> TextCou
 
 
 @dataclass(frozen=True)
-class AccountContext:
-    """Everything a rule may look at for one account.
+class NeighborStats:
+    avg_neighbors_followers: float
+    avg_neighbors_tweets: float
+    friends_to_median_neighbors_followers: float
 
-    ``tweets`` is None when the timeline was withheld (not merely empty);
-    ``fingerprint_counts`` maps picture fingerprints to how many dataset
-    accounts carry them, and is None when dataset-level aggregates are
-    unavailable.
+
+def _neighbor_values(graph: RelationshipGraph, ids: Iterable[str], field: str) -> list[int]:
+    values = []
+    for nid in ids:
+        summary = graph.stats_for(nid)
+        if summary is None:
+            raise DanglingReferenceError(f"no summary for neighbor {nid}")
+        values.append(getattr(summary, field))
+    return values
+
+
+def neighbor_stats(account: Account, graph: RelationshipGraph) -> NeighborStats:
+    """Relationship statistics; zero-degree accounts impute to zero."""
+    friends = graph.friends_of(account.user_id)
+    followers = graph.followers_of(account.user_id)
+    friend_followers = _neighbor_values(graph, friends, "followers_count")
+    follower_statuses = _neighbor_values(graph, followers, "statuses_count")
+    avg_friends = sum(friend_followers) / len(friend_followers) if friend_followers else 0.0
+    avg_followers = (
+        sum(follower_statuses) / len(follower_statuses) if follower_statuses else 0.0
+    )
+    if friend_followers:
+        median = statistics.median(friend_followers)
+        ratio = capped_ratio(account.friends_count, median)
+    else:
+        ratio = 0.0
+    return NeighborStats(
+        avg_neighbors_followers=avg_friends,
+        avg_neighbors_tweets=avg_followers,
+        friends_to_median_neighbors_followers=ratio,
+    )
+
+
+@dataclass(frozen=True)
+class AccountContext:
+    """Everything a rule or a feature extractor may look at for one account.
+
+    ``tweets`` is None when the timeline was withheld (not merely empty),
+    and ``graph`` when the relationships were; ``fingerprint_counts`` maps
+    picture fingerprints to how many dataset accounts carry them, and is
+    None when dataset-level aggregates are unavailable.
     """
 
     account: Account
     tweets: Optional[tuple[Tweet, ...]]
     reference_time: datetime
     fingerprint_counts: Optional[dict[str, int]] = None
-    spam_phrases: tuple[str, ...] = DEFAULT_SPAM_PHRASES
+    graph: Optional[RelationshipGraph] = None
 
-    def _timeline(self) -> tuple[Tweet, ...]:
+    def timeline(self) -> tuple[Tweet, ...]:
         if self.tweets is None:
             raise InsufficientDataError(
-                f"rule needs the timeline of {self.account.user_id}, but tweets were not loaded"
+                f"the timeline of {self.account.user_id} is needed, but tweets were not loaded"
             )
         return self.tweets
+
+    def need_graph(self) -> RelationshipGraph:
+        if self.graph is None:
+            raise InsufficientDataError(
+                f"the relationships of {self.account.user_id} are needed, "
+                "but the graph was not loaded"
+            )
+        return self.graph
 
     @cached_property
     def timeline_counts(self) -> TimelineCounts:
         """Counts of the timeline's tweets, computed on first use."""
-        return timeline_counts(self._timeline())
+        return timeline_counts(self.timeline())
 
     @cached_property
     def text_counts(self) -> TextCounts:
         """Counts of the timeline's texts, computed on first use."""
-        return text_counts(self._timeline(), self.spam_phrases)
+        return text_counts(self.timeline(), DEFAULT_SPAM_PHRASES)
+
+    @cached_property
+    def neighbors(self) -> NeighborStats:
+        """The account's neighbor statistics, computed on first use."""
+        return neighbor_stats(self.account, self.need_graph())
 
     @cached_property
     def outcomes(self) -> dict:
@@ -183,27 +260,15 @@ def picture_counts(dataset: LabeledDataset) -> dict[str, int]:
     return counts
 
 
-def build_context(
-    dataset: LabeledDataset,
-    user_id: str,
-    fingerprint_counts: Optional[dict[str, int]] = None,
-    spam_phrases: tuple[str, ...] = DEFAULT_SPAM_PHRASES,
-) -> AccountContext:
-    if fingerprint_counts is None:
-        fingerprint_counts = picture_counts(dataset)
-    return AccountContext(
-        account=dataset.accounts[user_id],
-        tweets=None if dataset.tweets is None else dataset.timeline(user_id),
-        reference_time=dataset.reference_time,
-        fingerprint_counts=fingerprint_counts,
-        spam_phrases=spam_phrases,
-    )
-
-
-def iter_contexts(
-    dataset: LabeledDataset, spam_phrases: tuple[str, ...] = DEFAULT_SPAM_PHRASES
-) -> Iterator[AccountContext]:
-    """Contexts for every account, computing dataset aggregates once."""
+def iter_contexts(dataset: LabeledDataset) -> Iterator[AccountContext]:
+    """One context per account in dataset order, sharing the dataset's
+    picture counts and graph."""
     counts = picture_counts(dataset)
-    for uid in dataset.accounts:
-        yield build_context(dataset, uid, counts, spam_phrases)
+    for uid, account in dataset.accounts.items():
+        yield AccountContext(
+            account=account,
+            tweets=None if dataset.tweets is None else dataset.timeline(uid),
+            reference_time=dataset.reference_time,
+            fingerprint_counts=counts,
+            graph=dataset.graph,
+        )

@@ -11,7 +11,7 @@ import numpy as np
 from ..corpus.model import FAKE, HUMAN, LabeledDataset
 from ..metrics import ConfusionMatrix, MetricError, info_gain, pearson, summarize
 from .catalog import ALL_RULE_IDS, CC, MEANS_HUMAN, RuleId, describe, evaluate_rule, rule_ids
-from .context import DEFAULT_SPAM_PHRASES, AccountContext, iter_contexts
+from .context import AccountContext, iter_contexts
 from .scoring import CcScore, cc_classify
 
 RULESETS = ("CC", "SOS", "SB")
@@ -50,7 +50,6 @@ class RulesetRun:
 def run_ruleset(
     ruleset: str,
     dataset: LabeledDataset,
-    spam_phrases: tuple[str, ...] = DEFAULT_SPAM_PHRASES,
     *,
     contexts: Optional[Sequence[AccountContext]] = None,
 ) -> RulesetRun:
@@ -58,7 +57,7 @@ def run_ruleset(
 
     ``contexts``, a list of the dataset's contexts from ``iter_contexts``,
     lets several runs and reports over one dataset share each account's
-    timeline aggregate and rule outcomes; they carry their own spam phrases.
+    timeline aggregates and rule outcomes.
     """
     ruleset = ruleset.upper()
     if ruleset not in RULESETS:
@@ -67,7 +66,7 @@ def run_ruleset(
     outcomes: dict[str, dict[int, bool]] = {}
     scores: dict[str, CcScore] = {}
     if contexts is None:
-        contexts = iter_contexts(dataset, spam_phrases)
+        contexts = iter_contexts(dataset)
     for ctx in contexts:
         uid = ctx.account.user_id
         if ruleset == CC:
@@ -114,7 +113,6 @@ class RuleEvaluation:
 def rule_report(
     dataset: LabeledDataset,
     rules: Optional[tuple[RuleId, ...]] = None,
-    spam_phrases: tuple[str, ...] = DEFAULT_SPAM_PHRASES,
     *,
     contexts: Optional[Sequence[AccountContext]] = None,
 ) -> list[RuleEvaluation]:
@@ -131,7 +129,7 @@ def rule_report(
     if n_fake == 0 or n_fake == len(labeled):
         raise MetricError("rule_report needs both classes present")
     if contexts is None:
-        contexts = iter_contexts(dataset, spam_phrases)
+        contexts = iter_contexts(dataset)
     contexts = [ctx for ctx in contexts if ctx.account.label in (HUMAN, FAKE)]
     y = np.array([ctx.account.label == FAKE for ctx in contexts], dtype=np.float64)
 

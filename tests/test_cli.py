@@ -12,6 +12,7 @@ import fakescope
 from fakescope.cli import main
 from fakescope.corpus import PRESETS, SynthConfig
 from fakescope.manifest import load_manifest, verify_artifacts
+from fakescope.rules import context
 
 
 def run(argv):
@@ -227,6 +228,63 @@ class TestSensitivityAlgos:
         assert message in err
         assert "dt, rf, ab, knn, nb, lr" in err
         assert not (tmp_path / "manifest.json").exists()
+
+
+class TestTestFraction:
+    @pytest.mark.parametrize("fraction", ["0", "1", "1.5"])
+    def test_outside_the_open_unit_interval_is_a_usage_error(
+        self, corpus_dir, tmp_path, capsys, fraction
+    ):
+        assert run(["sensitivity", corpus_dir, "--test-fraction", fraction,
+                    "--out", tmp_path]) == 1
+        assert "--test-fraction" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_holding_out_no_account_is_a_data_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        assert run(["synth", "--humans", "30", "--fakes", "30", "--seed", "7",
+                    "--out", corpus]) == 0
+        capsys.readouterr()
+        out = tmp_path / "sens"
+        assert run(["sensitivity", corpus, "--test-fraction", "0.01", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "--test-fraction 0.01 of 60 accounts holds out 0 test accounts" in err
+        assert not (out / "manifest.json").exists()
+
+
+def test_unknown_feature_set_is_a_data_error_naming_the_choices(corpus_dir, tmp_path, capsys):
+    assert run(["train", corpus_dir, "--features", "nosuchset", "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: unknown feature set 'nosuchset'; expected one of ")
+    assert "class-a, class-b, class-c, all, yang, stringhini" in err
+
+
+@pytest.mark.parametrize("command", [["rules", "--report"], ["features", "--class", "all"]])
+def test_each_account_aggregate_is_computed_once(corpus_dir, tmp_path, monkeypatch, command):
+    """Rules and features share one context per account, so its timeline
+    and neighbor aggregates are computed once, however many read them."""
+    owners = {"timeline_counts": [], "text_counts": [], "neighbor_stats": []}
+
+    def counted(name, owner):
+        original = getattr(context, name)
+
+        def wrapper(first, *args):
+            owners[name].append(owner(first))
+            return original(first, *args)
+
+        monkeypatch.setattr(context, name, wrapper)
+
+    timeline_owner = lambda tweets: tweets[0].user_id if tweets else None  # noqa: E731
+    counted("timeline_counts", timeline_owner)
+    counted("text_counts", timeline_owner)
+    counted("neighbor_stats", lambda account: account.user_id)
+    assert run([command[0], corpus_dir, *command[1:], "--out", tmp_path]) == 0
+    n_accounts = len((Path(corpus_dir) / "users.csv").read_text().splitlines()) - 1
+    assert len(owners["timeline_counts"]) == len(owners["text_counts"]) == n_accounts
+    assert len(owners["neighbor_stats"]) == (n_accounts if command[0] == "features" else 0)
+    for name, seen in owners.items():
+        named = [uid for uid in seen if uid is not None]
+        assert len(named) == len(set(named)), name
 
 
 def test_sensitivity_as_a_subprocess_prints_only_its_table(tmp_path):

@@ -133,6 +133,20 @@ class TestLoad:
         assert loaded.account_ids == subset.account_ids
         assert sorted(loaded.graph.edges) == sorted(subset.graph.edges)
 
+    def test_json_rows_are_the_bytes_of_json_dumps(self, tmp_path):
+        text = 'a "quoted" \\ back\nslash, tab\t, caf\u00e9 \U0001f600 \u2028'
+        ds = make_dataset(
+            [make_account("u1", "human", name="Ren\u00e9e \"R\"", description=text)],
+            {"u1": [make_tweet("u1", 0, text=text, source="Twitter\tfor\u00a0iPhone")]},
+        )
+        save_dataset(ds, tmp_path, fmt="json")
+        for name in ("users", "tweets"):
+            for line in (tmp_path / f"{name}.json").read_text(encoding="utf-8").splitlines():
+                assert line == json.dumps(json.loads(line), sort_keys=True)
+        loaded = load_dataset(tmp_path, fmt="json", reference_time=REF)
+        assert loaded.accounts == ds.accounts
+        assert loaded.tweets == ds.tweets
+
     def test_each_file_parsed_by_its_extension(self, tmp_path, paper_like_small):
         subset = paper_like_small.subset(paper_like_small.account_ids[:40])
         save_dataset(subset, tmp_path / "csv")

@@ -28,6 +28,7 @@ from fakescope.features import (
     neighbor_stats,
     specs_by_names,
 )
+from fakescope.features.extract import _EXTRACTORS
 
 from conftest import REF, make_account, make_dataset, make_tweet
 
@@ -65,6 +66,17 @@ class TestCatalog:
     def test_unknown_filter(self):
         with pytest.raises(KeyError):
             catalog("Z")
+
+
+def test_every_feature_has_an_extractor_reading_its_cost_class():
+    """Extraction checks each feature's requirement against what was loaded,
+    and a traced run times each extractor under its cost class."""
+    requirement = {"A": "profile", "B": "timeline", "C": "graph"}
+    assert sorted(_EXTRACTORS) == sorted(spec.name for spec in catalog())
+    for spec in catalog():
+        needs, fn = _EXTRACTORS[spec.name]
+        assert needs == requirement[spec.cost_class], spec.name
+        assert callable(fn)
 
 
 class TestExtractFormulas:
