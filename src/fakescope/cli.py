@@ -266,7 +266,29 @@ def features(src, feature_class, seed, out_dir, fmt, reference_time):
     click.echo(f"extracted {matrix.n_rows} rows x {len(matrix.specs)} features")
 
 
-def _algo_params(algo: str, trees: int, k_neighbors: int, rounds: int, depth: int, prune: Optional[str]) -> dict:
+def _parse_prune(ctx, param, value: Optional[str]) -> Optional[tuple]:
+    """``--prune STRATEGY[:ARG]`` as (strategy, float ARG or None); anything
+    else is a data error naming the option."""
+    if not value:
+        return None
+    name, _, arg = value.partition(":")
+    if name not in ("reduced_error", "subtree_raising"):
+        raise ValueError(f"--prune {value!r}: unknown strategy {name!r}; "
+                         "give reduced_error:FOLDS or subtree_raising:CONF")
+    if not arg:
+        return name, None
+    try:
+        number = float(arg)
+    except ValueError:
+        raise ValueError(f"--prune {value!r}: {arg!r} is not a number") from None
+    if name == "reduced_error" and not (number.is_integer() and number >= 2):
+        raise ValueError(f"--prune {value!r}: the fold count must be an integer of at least 2")
+    if name == "subtree_raising" and not 0 < number < 0.5:
+        raise ValueError(f"--prune {value!r}: the confidence must lie strictly between 0 and 0.5")
+    return name, number
+
+
+def _algo_params(algo: str, trees: int, k_neighbors: int, rounds: int, depth: int, prune: Optional[tuple]) -> dict:
     params: dict = {}
     if algo == "rf":
         params["n_trees"] = trees
@@ -276,8 +298,7 @@ def _algo_params(algo: str, trees: int, k_neighbors: int, rounds: int, depth: in
         params["rounds"] = rounds
         params["depth"] = depth
     if algo == "dt" and prune:
-        name, _, arg = prune.partition(":")
-        params["prune"] = (name, float(arg) if arg else None)
+        params["prune"] = prune
     return params
 
 
@@ -295,7 +316,8 @@ model_options = _options(
     click.option("--knn-k", "k_neighbors", type=int, default=5),
     click.option("--rounds", type=int, default=50),
     click.option("--depth", type=int, default=1),
-    click.option("--prune", default=None, help="reduced_error:FOLDS or subtree_raising:CONF"),
+    click.option("--prune", default=None, callback=_parse_prune,
+                 help="reduced_error:FOLDS or subtree_raising:CONF"),
 )
 
 

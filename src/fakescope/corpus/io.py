@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 from json.encoder import encode_basestring_ascii as json_string
 from operator import itemgetter
 from pathlib import Path
@@ -66,7 +66,13 @@ def parse_timestamp(raw: str) -> datetime:
 
 
 def format_timestamp(dt: datetime) -> str:
-    return utc(dt).strftime("%Y-%m-%dT%H:%M:%SZ")
+    """``dt`` in UTC as ``strftime("%Y-%m-%dT%H:%M:%SZ")`` writes it with
+    glibc (the year not zero-padded), formatted field by field, which
+    takes less than half the time."""
+    if dt.tzinfo is not timezone.utc:
+        dt = utc(dt)
+    return "%d-%02d-%02dT%02d:%02d:%02dZ" % (
+        dt.year, dt.month, dt.day, dt.hour, dt.minute, dt.second)
 
 
 def _parse_int(raw: str) -> int:

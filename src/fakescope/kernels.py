@@ -1,14 +1,16 @@
 """Best-threshold split search over a block of presorted columns.
 
 One search serves every caller: the tree learner scans all candidate
-features of a node in one pass, and the 1-D information gain scans a
-single column. Gains are evaluated only where the sorted value changes,
-and ties go to the lowest column, then the lowest threshold.
+features of a node in one pass, the 1-D information gain scans a single
+column, and a forest grown in lock-step scans the nodes of each step
+together, the candidates of a whole batch of nodes stacked into one call.
+Gains are evaluated only where the sorted value changes, and within each
+node ties go to the lowest column, then the lowest threshold.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -51,33 +53,57 @@ def binary_entropy(pos: float, total: float) -> float:
 
 def best_threshold_split(
     values: np.ndarray,
-    weights: np.ndarray,
+    weights: Optional[np.ndarray],
     weighted_fake: np.ndarray,
-) -> Optional[tuple[float, int, float]]:
+    widths: Optional[Sequence[int]] = None,
+):
     """Best (gain, column, threshold) for splitting `values[:, column] <= t`.
 
     All three arguments are (m, k) blocks of m rows and k columns, each
     column sorted ascending by its values: ``weights`` holds the row
-    weights and ``weighted_fake`` the weights times the 0/1 labels, in the
-    same order. Weights must be non-negative. Column-major blocks (the
-    transpose of a C-order (k, m) array) are used without a copy, and each
-    column is then summed like a 1-D array. Returns None when no column
-    holds two distinct values.
+    weights (None: every weight is 1) and ``weighted_fake`` the weights
+    times the 0/1 labels, in the same order. Weights must be non-negative.
+    Column-major blocks (the transpose of a C-order (k, m) array) are used
+    without a copy, and each column is then summed like a 1-D array.
+    Returns None when no column holds two distinct values.
+
+    With ``widths``, the k columns are the candidates of ``len(widths)``
+    nodes of m rows each, node i owning the next ``widths[i]`` (at least
+    one) columns; the result is then a list with one (gain, column within
+    the node, threshold) or None per node, each equal to what the node's
+    columns alone would give, since every column is scored on its own.
     """
     v = np.ascontiguousarray(values.T, dtype=np.float64)
-    w = np.ascontiguousarray(weights.T, dtype=np.float64)
     wf = np.ascontiguousarray(weighted_fake.T, dtype=np.float64)
     k, m = v.shape
-    total_w = w.sum(axis=1)
-    if m < 2 or k == 0 or total_w[0] <= 0.0:
-        return None
+    if weights is None:  # unit weights: sums are exact counts
+        w = None
+        total_w = np.full(k, float(m))
+    else:
+        w = np.ascontiguousarray(weights.T, dtype=np.float64)
+        total_w = w.sum(axis=1)
+    if widths is None:
+        if m < 2 or k == 0 or total_w[0] <= 0.0:
+            return None
+    elif m < 2:
+        return [None] * len(widths)
     # flat index j * (m - 1) + i of each cut between positions i and i + 1
     cuts = np.flatnonzero(v[:, 1:] != v[:, :-1])
+    if widths is not None:
+        widths = np.asarray(widths)
+        firsts = np.cumsum(widths) - widths  # each node's first column
+        if w is not None:  # a node of zero weight has no split
+            dead = np.repeat(total_w[firsts] <= 0.0, widths)
+            if dead.any():
+                cuts = cuts[~dead[cuts // (m - 1)]]
     if cuts.size == 0:
-        return None
+        return None if widths is None else [None] * len(widths)
     column = cuts // (m - 1)
     at = cuts + column  # the same cut as an index into a flat (k, m) block
-    lw = np.cumsum(w, axis=1).ravel()[at]
+    if w is None:
+        lw = (at - column * m + 1).astype(np.float64)
+    else:
+        lw = np.cumsum(w, axis=1).ravel()[at]
     lf = np.cumsum(wf, axis=1).ravel()[at]
     total_f = wf.sum(axis=1)
     tw = total_w[column]
@@ -86,7 +112,27 @@ def best_threshold_split(
     n = cuts.size
     h = _entropy_pair(np.concatenate((lf, rf, total_f)), np.concatenate((lw, rw, total_w)))
     gains = h[2 * n:][column] - (lw * h[:n] + rw * h[n:2 * n]) / tw
-    best = int(np.argmax(gains))  # first max: lowest column, then lowest threshold
-    j = int(column[best])
-    i = int(cuts[best]) - j * (m - 1)
-    return float(gains[best]), j, 0.5 * float(v[j, i] + v[j, i + 1])
+    if widths is None:
+        best = int(np.argmax(gains))  # first max: lowest column, then lowest threshold
+        j = int(column[best])
+        i = int(cuts[best]) - j * (m - 1)
+        return float(gains[best]), j, 0.5 * float(v[j, i] + v[j, i + 1])
+    # Each node's cuts go to its own row of a (nodes, widest * (m - 1))
+    # block in (column, cut) order, -inf elsewhere; a row's argmax is then
+    # the node's first max, as above.
+    nodes, widest = len(widths), int(widths.max())
+    slots = np.full((nodes, widest * (m - 1)), -np.inf)
+    if (widths == widest).all():
+        slots.ravel()[cuts] = gains
+    else:  # shift each column to its node's row
+        owner = np.repeat(np.arange(nodes), widths)
+        shift = (owner * widest - firsts[owner]) * (m - 1)
+        slots.ravel()[cuts + shift[column]] = gains
+    best = slots.argmax(axis=1)
+    peak = slots[np.arange(nodes), best]
+    col, i = np.divmod(best, m - 1)
+    j = firsts + col
+    live = peak > -np.inf
+    return [(gain, c, 0.5 * (low + high)) if ok else None
+            for ok, gain, c, low, high in zip(live.tolist(), peak.tolist(), col.tolist(),
+                                              v[j, i].tolist(), v[j, i + 1].tolist())]

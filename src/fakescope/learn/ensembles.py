@@ -9,7 +9,7 @@ import numpy as np
 
 from ..kernels import dense_ranks, presort
 from ..seeding import make_rng
-from .tree import LearnError, Tree, grow_tree, predict_each, tree_predict_proba
+from .tree import LearnError, Tree, grow_tree, grow_trees, predict_each, tree_predict_proba
 
 
 @dataclass
@@ -29,7 +29,10 @@ def rf_fit(
 ) -> ForestState:
     """Bootstrap each tree; per split, draw ceil(sqrt(d)) candidate features.
 
-    Each tree sorts its bootstrap sample once, by the dense ranks of X.
+    Tree t draws its bootstrap sample and then its candidates from its own
+    generator, ``make_rng(seed, 7, t)``. Each tree's sample is sorted once,
+    by the dense ranks of X, and the trees grow in lock-step
+    (`grow_trees`) on row ids of X, not on copies of their rows.
     """
     if n_trees < 1:
         raise LearnError("n_trees must be positive")
@@ -37,22 +40,15 @@ def rf_fit(
         raise LearnError(f"unknown feature_sample {feature_sample!r}")
     n, d = X.shape
     mtry = d if feature_sample == "all" else max(1, math.ceil(math.sqrt(d)))
-    ranks = dense_ranks(X)
-    trees = []
-    for t in range(n_trees):
-        rng = make_rng(seed, 7, t)
-        idx = rng.integers(0, n, size=n)
-        trees.append(
-            grow_tree(
-                X[idx],
-                y[idx],
-                min_leaf=min_leaf,
-                max_depth=max_depth,
-                rng=rng,
-                mtry=mtry,
-                order=presort(ranks[idx]),
-            )
-        )
+    rngs = [make_rng(seed, 7, t) for t in range(n_trees)]
+    samples = np.stack([rng.integers(0, n, size=n) for rng in rngs])
+    ranks = np.ascontiguousarray(dense_ranks(X).T)
+    sorted_rows = np.empty((n_trees, d, n), dtype=np.min_scalar_type(max(n - 1, 0)))
+    for t, sample in enumerate(samples):
+        sorted_rows[t] = sample[np.argsort(ranks[:, sample], axis=1, kind="stable")]
+    samples.sort(axis=1)
+    trees = grow_trees(X, y, sorted_rows, samples.astype(sorted_rows.dtype), min_leaf=min_leaf,
+                       max_depth=max_depth, rngs=rngs, mtry=mtry)
     return ForestState(trees=trees, mtry=mtry)
 
 

@@ -35,6 +35,7 @@ from .tree import (
 ALGORITHMS = ("dt", "rf", "ab", "knn", "nb", "lr")
 
 MODEL_FORMAT_VERSION = 1
+AB_ROUNDS = 50  # boosting rounds when the params name none
 
 
 @dataclass
@@ -99,7 +100,7 @@ def _fit_state(algorithm: str, matrix: FeatureMatrix, params: dict, seed: int):
         return ab_fit(
             X,
             y,
-            rounds=params.get("rounds", 50),
+            rounds=params.get("rounds", AB_ROUNDS),
             depth=params.get("depth", 1),
             min_leaf=params.get("min_leaf", 2),
         )
@@ -163,6 +164,32 @@ def train(
     seed: int = 0,
 ) -> TrainedModel:
     return train_many(algorithm, [matrix], params, [seed])[0]
+
+
+def unused_columns(model: TrainedModel) -> frozenset:
+    """Columns the model's fit provably did not depend on: refitting
+    without any one of them gives the same model, with its columns
+    renumbered, and so the same predictions.
+
+    That holds for a seedless tree fit that never splits on the column:
+    dt without pruning, and ab when it ran all its rounds (an early stop
+    is decided by a tree the model does not keep). Every node search
+    scores each column on its own and takes the first maximum in column
+    order, so dropping a column no node chose changes no split, threshold,
+    leaf, boosting weight or alpha. Every other fit (rf, knn, nb, lr,
+    pruned dt) gives the empty set.
+    """
+    state = model.state
+    if model.algorithm == "dt" and model.params.get("prune") is None:
+        trees = [state.root]
+    elif model.algorithm == "ab" and len(state.trees) == model.params.get("rounds", AB_ROUNDS):
+        trees = state.trees
+    else:
+        return frozenset()
+    used = set()
+    for tree in trees:
+        used.update(tree.feature[tree.feature >= 0].tolist())
+    return frozenset(range(model.n_features)) - used
 
 
 def predict_scores(model: TrainedModel, X: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from statistics import NormalDist
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -14,6 +14,14 @@ from ..kernels import best_threshold_split, presort
 from ..seeding import make_rng
 
 GAIN_EPS = 1e-12
+# One split search stacks the nodes of a step, smallest first, while the
+# stacked block holds at most SEARCH_CELLS (row, candidate column) cells
+# and its largest node is at most PAD_RATIO times its smallest; a larger
+# node is searched alone. Larger blocks measured slower per node, since
+# their temporaries outgrow what the allocator reuses and every call pays
+# for fresh pages, and so did padding small nodes to much larger ones.
+SEARCH_CELLS = 4096
+PAD_RATIO = 2.0
 
 
 class LearnError(ValueError):
@@ -97,6 +105,204 @@ def _number(value, name: str):
     return value
 
 
+class _Open(NamedTuple):
+    """A node to split: its tree, its index there, its rows sorted by each
+    column, the same rows ascending, its depth and its candidate columns."""
+
+    tree: int
+    node: int
+    rows: np.ndarray
+    idx: np.ndarray
+    depth: int
+    candidates: np.ndarray
+
+
+def _batches(nodes: list, same_size: bool) -> list:
+    """``nodes`` in row-count order, cut into the batches one kernel call
+    searches (see SEARCH_CELLS); with ``same_size``, a batch holds nodes of
+    one row count only."""
+    if len(nodes) < 2:
+        return [nodes] if nodes else []
+    batches: list = []
+    cells = smallest = 0
+    for node in sorted(nodes, key=lambda node: node.rows.shape[1]):
+        size, width = node.rows.shape[1], len(node.candidates)
+        if (batches and (cells + width) * size <= SEARCH_CELLS and size <= PAD_RATIO * smallest
+                and not (same_size and size != smallest)):
+            batches[-1].append(node)
+            cells += width
+        else:
+            batches.append([node])
+            cells, smallest = width, size
+    return batches
+
+
+def grow_trees(
+    X: np.ndarray,
+    y: np.ndarray,
+    sorted_rows: np.ndarray,
+    samples: np.ndarray,
+    weights: Optional[np.ndarray] = None,
+    min_leaf: int = 2,
+    max_depth: Optional[int] = None,
+    rngs: Optional[Sequence[np.random.Generator]] = None,
+    mtry: Optional[int] = None,
+) -> list[Tree]:
+    """Grows one tree per row sample of ``X``, all of them in lock-step.
+
+    ``samples[t]`` holds tree t's rows of ``X`` as ascending row ids
+    (repeats allowed, as in a bootstrap sample), and ``sorted_rows[t]`` the
+    same ids once per column, each row of the (d, n) block sorted by that
+    column. ``y`` (0/1 labels) and ``weights`` are per row of ``X``; with
+    weights, equal values must keep ascending ids (``presort``), and
+    without them (every weight 1) they may come in any order, since every
+    sum the search takes over whole runs of equal values is then an exact
+    count.
+
+    Each tree is grown best-gain split by split, depth first, left before
+    right. With ``rngs``/``mtry`` set, each split considers a random subset
+    of the features that actually vary within the node, drawn from the
+    tree's own generator (columns constant in the node sample carry no
+    split and never enter the draw). Equal gains pick the lowest feature
+    index, then the lowest threshold.
+
+    Each step takes the next open node of every tree, so every tree sees
+    the node order, and draws, it would see grown alone. The step's nodes
+    are searched a batch at a time, one kernel call each; without weights,
+    the smaller nodes of a batch are padded to its largest. Each child
+    takes its rows from its parent's sorted lists by a stable partition,
+    so no column is sorted twice.
+    """
+    n_trees, d, _ = sorted_rows.shape
+    N = X.shape[0]
+    if weights is None:  # unit weights: a node's weight is its row count
+        w, wy = None, np.asarray(y, dtype=np.float64)
+    else:
+        w = np.asarray(weights, dtype=np.float64)
+        wy = w * y
+    XT = np.ascontiguousarray(X.T, dtype=np.float64)
+    flat = XT.ravel()
+    columns = np.arange(d)
+    offsets = columns * N  # row r of column j sits at flat[offsets[j] + r]
+    goes_left = np.empty(N, dtype=bool)
+    trees: list = [[] for _ in range(n_trees)]  # [feature, threshold, left, right, n, n_fake] rows
+    stacks: list = [[] for _ in range(n_trees)]  # each tree's open nodes, next on top
+
+    def totals(idx: np.ndarray) -> tuple[float, float]:
+        """Weight and fake weight of the ascending rows ``idx``."""
+        return float(len(idx) if w is None else w[idx].sum()), float(wy[idx].sum())
+
+    def new_node(t: int, size: int, total: float, fake: float, depth: int) -> tuple[int, bool]:
+        """Appends a leaf of ``size`` rows to tree ``t``; returns its index
+        and whether to split it."""
+        nodes = trees[t]
+        nodes.append([-1, math.nan, -1, -1, total, fake])
+        splittable = not (
+            size < min_leaf
+            or fake <= 0.0
+            or fake >= total
+            or (max_depth is not None and depth >= max_depth)
+        )
+        return len(nodes) - 1, splittable
+
+    def search(batch: list) -> list:
+        """The best split of each node of ``batch`` (of unequal row counts
+        only without weights)."""
+        if len(batch) == 1:  # one node: its own block, no stacking
+            rows, candidates = batch[0].rows, batch[0].candidates
+            block = rows if rngs is None else rows[candidates]
+            at = block + offsets[candidates, None]
+            return [best_threshold_split(
+                flat[at].T, None if w is None else w[block].T, wy[block].T)]
+        # Each node's rows, padded to the longest with copies of its last
+        # row that weigh 0 (unit weights only): a pad adds no cut, and
+        # every sum stays an exact count.
+        widths = [len(node.candidates) for node in batch]
+        sizes = [node.rows.shape[1] for node in batch]
+        lengths = np.repeat(sizes, widths)
+        starts = np.cumsum(lengths) - lengths
+        stacked = np.concatenate([node.rows[node.candidates].ravel() for node in batch])
+        span = np.arange(max(sizes))
+        block = stacked[starts[:, None] + np.minimum(span, lengths[:, None] - 1)]
+        at = block + offsets[np.concatenate([node.candidates for node in batch]), None]
+        if min(sizes) < max(sizes):
+            weights = (span < lengths[:, None]).astype(np.float64)
+            return best_threshold_split(flat[at].T, weights.T, (wy[block] * weights).T,
+                                        widths=widths)
+        return best_threshold_split(
+            flat[at].T, None if w is None else w[block].T, wy[block].T, widths=widths)
+
+    def split(open_node: _Open, feature: int, threshold: float) -> None:
+        """Splits the node, sending ``x[feature] <= threshold`` left;
+        pushes its children still to be split. A node whose rows would all
+        go left stays a leaf: its child would be the node itself, split the
+        same way forever."""
+        t, node, rows, idx, depth, _ = open_node
+        mask = XT[feature][idx] <= threshold
+        left_idx = np.compress(mask, idx)
+        if len(left_idx) == len(idx):  # the midpoint of neighbouring floats rounded up to the top
+            return
+        right_idx = np.compress(~mask, idx)
+        if w is None:  # exact counts: the right side holds what the left does not
+            total, fake = trees[t][node][4:]
+            left = float(len(left_idx)), float(wy[left_idx].sum())
+            right = total - left[0], fake - left[1]
+        else:
+            left, right = totals(left_idx), totals(right_idx)
+        left_node, left_open = new_node(t, len(left_idx), *left, depth + 1)
+        right_node, right_open = new_node(t, len(right_idx), *right, depth + 1)
+        trees[t][node][:4] = feature, threshold, left_node, right_node
+        if not (left_open or right_open):
+            return
+        # a stable partition of every column's sorted rows; repeats of a
+        # row share its value, so they all go the same way
+        goes_left[idx] = mask
+        on_left = goes_left[rows].ravel()
+        # the left child goes on the stack last, so it is split first and
+        # the rng is drawn in the same node order as by a recursive build
+        if right_open:
+            right = np.compress(~on_left, rows).reshape(d, -1)
+            stacks[t].append((right_node, right, right_idx, depth + 1))
+        if left_open:
+            left = np.compress(on_left, rows).reshape(d, -1)
+            stacks[t].append((left_node, left, left_idx, depth + 1))
+
+    for t in range(n_trees):
+        root, root_open = new_node(t, len(samples[t]), *totals(samples[t]), 0)
+        if root_open:
+            stacks[t].append((root, sorted_rows[t], samples[t], 0))
+
+    def step(live: list) -> None:
+        """Pops, draws for, searches and splits the next open node of every
+        tree in ``live``; the popped nodes' rows are freed on return."""
+        popped = [stacks[t].pop() for t in live]
+        if rngs is not None:  # the columns whose first and last sorted values differ
+            firsts = np.stack([item[1][:, 0] for item in popped])
+            lasts = np.stack([item[1][:, -1] for item in popped])
+            varying = flat[offsets + firsts] != flat[offsets + lasts]
+        searched = []
+        for i, (t, item) in enumerate(zip(live, popped)):
+            if rngs is None:
+                candidates = columns
+            else:
+                pool = np.flatnonzero(varying[i])
+                if pool.size == 0:
+                    continue
+                chosen = rngs[t].choice(pool.size, size=min(mtry, pool.size), replace=False)
+                candidates = np.sort(pool[chosen])
+            searched.append(_Open(t, *item, candidates))
+        for batch in _batches(searched, same_size=w is not None):
+            for open_node, best in zip(batch, search(batch)):
+                if best is not None and best[0] > GAIN_EPS:
+                    split(open_node, int(open_node.candidates[best[1]]), best[2])
+
+    live = [t for t in range(n_trees) if stacks[t]]
+    while live:
+        step(live)
+        live = [t for t in live if stacks[t]]
+    return [Tree(*zip(*nodes)) for nodes in trees]
+
+
 def grow_tree(
     X: np.ndarray,
     y: np.ndarray,
@@ -107,89 +313,16 @@ def grow_tree(
     mtry: Optional[int] = None,
     order: Optional[np.ndarray] = None,
 ) -> Tree:
-    """Best-gain threshold splits, grown depth first, left before right.
+    """One tree on every row of ``X``, as `grow_trees` grows it.
 
-    With ``rng``/``mtry`` set, each split considers a random subset of the
-    features that actually vary within the node (columns constant in the
-    node sample carry no split and never enter the draw). Equal gains pick
-    the lowest feature index, then the lowest threshold.
-
-    Columns are sorted once per tree: ``order`` is ``presort(X)``, passed
-    in by callers that grow several trees on the same rows, and each child
-    takes its rows from its parent's sorted lists by a stable partition.
+    ``order`` is ``presort(X)``, passed in by callers that grow several
+    trees on the same rows; ``rng`` and ``mtry`` draw candidate features
+    only when both are set.
     """
-    n, d = X.shape
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
-    wy = w * y
-    XT = np.ascontiguousarray(X.T, dtype=np.float64)
-    flat = XT.ravel()
-    columns = np.arange(d)
-    offsets = columns * n  # row r of column j sits at flat[offsets[j] + r]
     sorted_rows = presort(X) if order is None else order
-    goes_left = np.empty(n, dtype=bool)
-    nodes: list = []  # one [feature, threshold, left, right, n, n_fake] per node
-
-    def new_node(idx: np.ndarray, depth: int) -> tuple[int, bool]:
-        """Appends a leaf for the ascending rows ``idx``; returns its index
-        and whether to split it."""
-        total, fake = float(w[idx].sum()), float(wy[idx].sum())
-        nodes.append([-1, math.nan, -1, -1, total, fake])
-        splittable = not (
-            len(idx) < min_leaf
-            or fake <= 0.0
-            or fake >= total
-            or (max_depth is not None and depth >= max_depth)
-        )
-        return len(nodes) - 1, splittable
-
-    def split(node: int, rows: np.ndarray, idx: np.ndarray, depth: int) -> list:
-        """Splits leaf ``node``; returns its children still to be split."""
-        if rng is not None and mtry is not None:
-            spans = flat[offsets + rows[:, 0]] != flat[offsets + rows[:, -1]]
-            pool = np.nonzero(spans)[0]
-            if pool.size == 0:
-                return []
-            take = min(mtry, pool.size)
-            chosen = rng.choice(pool.size, size=take, replace=False)
-            candidates = np.sort(pool[chosen])
-            block = rows[candidates]
-        else:
-            candidates, block = columns, rows
-        at = block + offsets[candidates, None]
-        found = best_threshold_split(flat[at].T, w[block].T, wy[block].T)
-        if found is None or found[0] <= GAIN_EPS:
-            return []
-        _, column, threshold = found
-        feature = int(candidates[column])
-        mask = XT[feature][idx] <= threshold
-        left_idx = np.compress(mask, idx)
-        right_idx = np.compress(~mask, idx)
-        left_node, left_open = new_node(left_idx, depth + 1)
-        right_node, right_open = new_node(right_idx, depth + 1)
-        nodes[node][:4] = feature, threshold, left_node, right_node
-        if not (left_open or right_open):
-            return []
-        # a stable partition of every column's sorted rows
-        goes_left[idx] = mask
-        on_left = goes_left[rows].ravel()
-        # the left child goes on the stack last, so it is split first and
-        # rng is drawn in the same node order as by a recursive build
-        pending = []
-        if right_open:
-            right = np.compress(~on_left, rows).reshape(d, -1)
-            pending.append((right_node, right, right_idx, depth + 1))
-        if left_open:
-            left = np.compress(on_left, rows).reshape(d, -1)
-            pending.append((left_node, left, left_idx, depth + 1))
-        return pending
-
-    root, root_open = new_node(np.arange(n), 0)
-    # Pending nodes hold disjoint row sets, so the stack never holds more
-    # than one tree's worth of sorted lists.
-    stack = [(root, sorted_rows, np.arange(n), 0)] if root_open else []
-    while stack:
-        stack.extend(split(*stack.pop()))
-    return Tree(*zip(*nodes))
+    rngs = None if rng is None or mtry is None else [rng]
+    return grow_trees(X, y, sorted_rows[None], np.arange(X.shape[0])[None], weights,
+                      min_leaf, max_depth, rngs, mtry)[0]
 
 
 def _stack(trees: Sequence[Tree]) -> tuple[Tree, np.ndarray]:

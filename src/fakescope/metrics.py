@@ -201,7 +201,7 @@ def info_gain(
             )
         return h_parent - h_children
     order = np.argsort(v, kind="stable")
-    found = best_threshold_split(v[order, None], np.ones((len(y), 1)), y[order, None])
+    found = best_threshold_split(v[order, None], None, y[order, None])
     if found is None:
         return 0.0
     return max(0.0, found[0])

@@ -21,7 +21,14 @@ import numpy as np
 from .corpus.model import LabeledDataset
 from .features.catalog import CLASS_A_SPECS, FeatureSpec
 from .features.extract import FeatureMatrix, extract
-from .learn.model import ALGORITHMS, TrainedModel, predict_many, train, train_many
+from .learn.model import (
+    ALGORITHMS,
+    TrainedModel,
+    predict_many,
+    train,
+    train_many,
+    unused_columns,
+)
 from .metrics import ConfusionMatrix, mcc
 from .seeding import derive_seed
 
@@ -112,9 +119,21 @@ def analyze_matrices(
     Each fit's seed derives from the master seed, the algorithm and the
     dropped feature. A classifier's full fit runs alone, because its MCC
     decides whether the classifier is excluded; its leave-one-out cells
-    then train in one `train_many` call. ``jobs`` is an upper bound on
-    workers; one thread runs every fit, which meets any bound, because
-    thread workers measured slower than none.
+    then train in one `train_many` call.
+
+    A cell is not fitted when the full model provably equals its refit
+    (`unused_columns`): a dt without pruning, or an ab that ran all its
+    rounds, that never splits on the dropped feature. Each node search
+    scores every column on its own and keeps the first maximum in column
+    order, and these fits draw nothing from their seed, so the refit would
+    make every choice the full fit made and predict exactly what it
+    predicts; the cell records the full MCC, a local sensitivity of 1 and
+    no changed predictions. rf (seeded), knn, nb, lr and pruned dt (seeded
+    hold-out; pruning can hide a split) fit every cell.
+
+    ``jobs`` is an upper bound on workers; one thread runs every fit,
+    which meets any bound, because thread workers measured slower than
+    none.
     """
     roster = ", ".join(ALGORITHMS)
     if not algorithms:
@@ -154,14 +173,21 @@ def analyze_matrices(
             excluded.append(algorithm)
             continue
         full_mcc[algorithm] = full
-        models = train_many(
+        unused = unused_columns(full_model)
+        fitted = [f for j, f in enumerate(features) if j not in unused]
+        models = dict(zip(fitted, train_many(
             algorithm,
-            [train_matrix.drop_feature(feature) for feature in features],
+            [train_matrix.drop_feature(feature) for feature in fitted],
             params=params.get(algorithm),
-            seeds=[derive_seed(seed, 31, algo_id, features.index(f) + 1) for f in features],
-        )
-        for feature, model in zip(features, models):
-            score, predicted = _test_mcc(model, test_matrix.drop_feature(feature), y_test)
+            seeds=[derive_seed(seed, 31, algo_id, features.index(f) + 1) for f in fitted],
+        )))
+        for feature in features:
+            if feature in models:
+                score, predicted = _test_mcc(
+                    models[feature], test_matrix.drop_feature(feature), y_test)
+                changed = int(np.sum(predicted != full_pred))
+            else:  # the refit is the full model: same predictions
+                score, changed = full, 0
             cells.append(
                 SensitivityCell(
                     algorithm=algorithm,
@@ -169,7 +195,7 @@ def analyze_matrices(
                     mcc_full=full,
                     mcc_without=score,
                     local=local_sensitivity(full, score),
-                    changed_predictions=int(np.sum(predicted != full_pred)),
+                    changed_predictions=changed,
                 )
             )
     if not full_mcc:

@@ -230,6 +230,44 @@ class TestSensitivityAlgos:
         assert not (tmp_path / "manifest.json").exists()
 
 
+class TestPrune:
+    @pytest.mark.parametrize(
+        ("prune", "message"),
+        [
+            ("reduced_error:x", "'x' is not a number"),
+            ("subtree_raising:high", "'high' is not a number"),
+            ("reduced_error:2.5", "the fold count must be an integer"),
+            ("reduced_error:1", "the fold count must be an integer of at least 2"),
+            ("subtree_raising:0.7", "the confidence must lie strictly between 0 and 0.5"),
+            ("pessimistic:0.25", "unknown strategy 'pessimistic'"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_malformed_value_exits_2_and_names_the_option(
+        self, corpus_dir, tmp_path, capsys, command, prune, message
+    ):
+        assert run([command, corpus_dir, "--algo", "dt", "--prune", prune,
+                    "--out", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert f"--prune '{prune}'" in err
+        assert message in err
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        ("prune", "recorded"),
+        [
+            ("reduced_error:3", ["reduced_error", 3.0]),
+            ("reduced_error:3.0", ["reduced_error", 3.0]),
+            ("reduced_error", ["reduced_error", None]),
+            ("subtree_raising:0.25", ["subtree_raising", 0.25]),
+        ],
+    )
+    def test_valid_value_is_recorded_as_parsed(self, corpus_dir, tmp_path, prune, recorded):
+        assert run(["train", corpus_dir, "--algo", "dt", "--prune", prune,
+                    "--out", tmp_path]) == 0
+        assert load_manifest(tmp_path / "manifest.json")["parameters"]["params"]["prune"] == recorded
+
+
 class TestTestFraction:
     @pytest.mark.parametrize("fraction", ["0", "1", "1.5"])
     def test_outside_the_open_unit_interval_is_a_usage_error(

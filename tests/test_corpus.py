@@ -3,9 +3,11 @@
 import filecmp
 import json
 import shutil
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fakescope.corpus import (
     CorpusError,
@@ -21,6 +23,9 @@ from fakescope.corpus import (
     synthesize,
     validate,
 )
+
+from fakescope.corpus.io import format_timestamp
+from fakescope.corpus.model import utc
 
 from conftest import REF, make_account, make_dataset, make_tweet
 
@@ -390,3 +395,15 @@ class TestSplitFolds:
         ds = make_dataset([make_account("u1", "human"), make_account("u2", "fake")])
         with pytest.raises(CorpusError):
             split_folds(ds, 3, seed=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.datetimes(min_value=datetime(1, 1, 2), max_value=datetime(9999, 12, 30),
+                 timezones=st.sampled_from([None, timezone.utc, timezone(timedelta(hours=5))])),
+    st.sampled_from([datetime(year, 12, 31, 23, 59, 59, tzinfo=timezone.utc)
+                     for year in (1, 999, 1000, 2014, 9999)]),
+))
+def test_timestamps_are_written_as_strftime_writes_them(dt):
+    """glibc's %Y does not zero-pad years below 1000."""
+    assert format_timestamp(dt) == utc(dt).strftime("%Y-%m-%dT%H:%M:%SZ")
