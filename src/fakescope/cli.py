@@ -142,18 +142,35 @@ jobs_option = click.option(
     default=1,
     help="Upper bound on workers (at least 1); fits run one at a time, which meets any bound.",
 )
+
+
+def _checked(parse):
+    """A click callback giving ``parse(value)``: its ValueError becomes a data
+    error naming the option and the value, before any corpus is read."""
+    def callback(ctx, param, value):
+        try:
+            return None if value is None else parse(value)
+        except ValueError as exc:
+            raise ValueError(f"{param.opts[0]} {str(value)!r}: {exc}") from None
+    return callback
+
+
+def _at_least(low: int):
+    def check(value: int) -> int:
+        if value < low:
+            raise ValueError(f"must be at least {low}")
+        return value
+    return check
+
+
 reference_time_option = click.option(
     "--reference-time",
     "reference_time",
     default=None,
+    callback=_checked(parse_timestamp),
     help="ISO-8601 instant used for account ages (default: newest timestamp + 1 day).",
 )
 corpus_options = _options(seed_option, out_option, format_option, reference_time_option)
-
-
-def _load(src, fmt, reference_time=None):
-    ref = parse_timestamp(reference_time) if reference_time else None
-    return load_dataset(src, fmt=fmt, reference_time=ref)
 
 
 @click.group()
@@ -188,7 +205,7 @@ def synth(preset, humans, fakes, seed, out_dir, fmt):
 @corpus_options
 def ingest(src, seed, out_dir, fmt, reference_time):
     """Load, validate, and re-serialize a corpus in normalized form."""
-    dataset = _load(src, fmt=fmt, reference_time=reference_time)
+    dataset = load_dataset(src, fmt=fmt, reference_time=reference_time)
     report = validate(dataset)
     written = save_dataset(dataset, out_dir, fmt=fmt)
     counts = dataset.class_counts()
@@ -213,7 +230,7 @@ def ingest(src, seed, out_dir, fmt, reference_time):
 @reference_time_option
 def validate_cmd(src, fmt, out_dir, reference_time):
     """Report every dataset-invariant violation (empty report = valid)."""
-    dataset = _load(src, fmt=fmt, reference_time=reference_time)
+    dataset = load_dataset(src, fmt=fmt, reference_time=reference_time)
     report = validate(dataset)
     rows = [
         {"code": v.code, "subject": v.subject, "message": v.message} for v in report.violations
@@ -233,7 +250,7 @@ def validate_cmd(src, fmt, out_dir, reference_time):
 @corpus_options
 def rules(src, ruleset, with_report, seed, out_dir, fmt, reference_time):
     """Run the rule-based detectors over a corpus."""
-    dataset = _load(src, fmt=fmt, reference_time=reference_time)
+    dataset = load_dataset(src, fmt=fmt, reference_time=reference_time)
     selected = ["cc", "sos", "sb"] if ruleset == "all" else [ruleset]
     contexts = list(iter_contexts(dataset))
     written = [
@@ -256,7 +273,7 @@ def rules(src, ruleset, with_report, seed, out_dir, fmt, reference_time):
 @corpus_options
 def features(src, feature_class, seed, out_dir, fmt, reference_time):
     """Extract the feature matrix for a corpus."""
-    dataset = _load(src, fmt=fmt, reference_time=reference_time)
+    dataset = load_dataset(src, fmt=fmt, reference_time=reference_time)
     specs = feature_catalog(None if feature_class == "all" else feature_class)
     matrix = extract(dataset, specs)
     out = Path(out_dir)
@@ -266,25 +283,22 @@ def features(src, feature_class, seed, out_dir, fmt, reference_time):
     click.echo(f"extracted {matrix.n_rows} rows x {len(matrix.specs)} features")
 
 
-def _parse_prune(ctx, param, value: Optional[str]) -> Optional[tuple]:
-    """``--prune STRATEGY[:ARG]`` as (strategy, float ARG or None); anything
-    else is a data error naming the option."""
-    if not value:
-        return None
+def _parse_prune(value: str) -> tuple:
+    """``--prune STRATEGY[:ARG]`` as (strategy, float ARG or None)."""
     name, _, arg = value.partition(":")
     if name not in ("reduced_error", "subtree_raising"):
-        raise ValueError(f"--prune {value!r}: unknown strategy {name!r}; "
+        raise ValueError(f"unknown strategy {name!r}; "
                          "give reduced_error:FOLDS or subtree_raising:CONF")
     if not arg:
         return name, None
     try:
         number = float(arg)
     except ValueError:
-        raise ValueError(f"--prune {value!r}: {arg!r} is not a number") from None
+        raise ValueError(f"{arg!r} is not a number") from None
     if name == "reduced_error" and not (number.is_integer() and number >= 2):
-        raise ValueError(f"--prune {value!r}: the fold count must be an integer of at least 2")
+        raise ValueError("the fold count must be an integer of at least 2")
     if name == "subtree_raising" and not 0 < number < 0.5:
-        raise ValueError(f"--prune {value!r}: the confidence must lie strictly between 0 and 0.5")
+        raise ValueError("the confidence must lie strictly between 0 and 0.5")
     return name, number
 
 
@@ -302,6 +316,7 @@ def _algo_params(algo: str, trees: int, k_neighbors: int, rounds: int, depth: in
     return params
 
 
+folds_option = click.option("--k", type=int, default=10, callback=_checked(_at_least(2)))
 algo_option = click.option("--algo", type=click.Choice(ALGORITHMS), default="rf")
 features_option = click.option(
     "--features",
@@ -313,10 +328,10 @@ model_options = _options(
     algo_option,
     features_option,
     click.option("--trees", type=int, default=64),
-    click.option("--knn-k", "k_neighbors", type=int, default=5),
+    click.option("--knn-k", "k_neighbors", type=int, default=5, callback=_checked(_at_least(1))),
     click.option("--rounds", type=int, default=50),
     click.option("--depth", type=int, default=1),
-    click.option("--prune", default=None, callback=_parse_prune,
+    click.option("--prune", default=None, callback=_checked(_parse_prune),
                  help="reduced_error:FOLDS or subtree_raising:CONF"),
 )
 
@@ -327,7 +342,7 @@ model_options = _options(
 @corpus_options
 def train_cmd(src, algo, feature_selector, seed, out_dir, fmt, reference_time, **tuning):
     """Train one classifier on a labeled corpus and save the model."""
-    dataset = _load(src, fmt=fmt, reference_time=reference_time)
+    dataset = load_dataset(src, fmt=fmt, reference_time=reference_time)
     matrix = extract(dataset, feature_set(feature_selector))
     params = _algo_params(algo, **tuning)
     model = train_model(algo, matrix, params=params, seed=seed)
@@ -345,14 +360,14 @@ def train_cmd(src, algo, feature_selector, seed, out_dir, fmt, reference_time, *
 @cli.command()
 @click.argument("src", type=click.Path())
 @model_options
-@click.option("--k", type=int, default=10)
+@folds_option
 @corpus_options
 @jobs_option
 def cv(src, algo, feature_selector, k, seed, out_dir, fmt, reference_time, jobs, **tuning):
     """K-fold cross-validation with pooled metrics and ROC points.
 
     The tables are always csv; --format picks the corpus file read first."""
-    dataset = _load(src, fmt=fmt, reference_time=reference_time)
+    dataset = load_dataset(src, fmt=fmt, reference_time=reference_time)
     params = _algo_params(algo, **tuning)
     report = cross_validate(
         algo, dataset, feature_set(feature_selector), k=k, seed=seed, params=params, jobs=jobs
@@ -371,17 +386,37 @@ def cv(src, algo, feature_selector, k, seed, out_dir, fmt, reference_time, jobs,
     _echo_table([pooled_row])
 
 
+def _parse_fractions(spec: str) -> list[float]:
+    """``START:STOP:STEP``, or a single value, as the human fractions it
+    names: at least one, each strictly between 0 and 1."""
+    values = [float(part) for part in spec.split(":")]
+    if len(values) == 3:
+        start, stop, step = values
+        if not step > 0:
+            raise ValueError("the step must be positive")
+        values = []  # the first value out of range ends a range, even one with no end
+        while start <= stop + 1e-9 and (not values or 0.0 < values[-1] < 1.0):
+            values.append(round(start, 10))
+            start += step
+    elif len(values) != 1:
+        raise ValueError("expected START:STOP:STEP or a single value")
+    if not values or not all(0.0 < value < 1.0 for value in values):
+        raise ValueError("give at least one fraction, each strictly between 0 and 1")
+    return values
+
+
 @cli.command()
 @click.argument("src", type=click.Path())
-@click.option("--fractions", default="0.05:0.95:0.05", help="START:STOP:STEP of human fractions.")
+@click.option("--fractions", default="0.05:0.95:0.05", help="START:STOP:STEP of human fractions.",
+              callback=_checked(lambda spec: _parse_fractions(spec) and spec))  # kept as given
 @algo_option
 @features_option
 @click.option("--target-size", type=int, required=True)
-@click.option("--k", type=int, default=10)
+@folds_option
 @corpus_options
 def sweep(src, fractions, algo, feature_selector, target_size, k, seed, out_dir, fmt, reference_time):
     """Vary the class distribution and cross-validate at each mixture."""
-    dataset = _load(src, fmt=fmt, reference_time=reference_time)
+    dataset = load_dataset(src, fmt=fmt, reference_time=reference_time)
     specs = feature_set(feature_selector)
     report = class_distribution_sweep(
         dataset, algo, _parse_fractions(fractions), target_size=target_size, k=k, seed=seed,
@@ -396,23 +431,6 @@ def sweep(src, fractions, algo, feature_selector, target_size, k, seed, out_dir,
              "fractions": fractions, "target_size": target_size, "k": k},
             seed, written, inputs=[src])
     _echo_table(report.as_rows())
-
-
-def _parse_fractions(spec: str) -> list[float]:
-    parts = spec.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) != 3:
-        raise click.UsageError("--fractions expects START:STOP:STEP or a single value")
-    start, stop, step = (float(p) for p in parts)
-    if step <= 0:
-        raise click.UsageError("--fractions step must be positive")
-    values = []
-    current = start
-    while current <= stop + 1e-9:
-        values.append(round(current, 10))
-        current += step
-    return values
 
 
 @cli.command()
@@ -462,10 +480,10 @@ def sensitivity(train_src, test_src, test_fraction, algos, feature_selector, see
     specs = feature_set(feature_selector)
     algorithms = tuple(a.strip() for a in algos.split(",") if a.strip())
     if test_src:
-        train_set = _load(train_src, fmt=fmt, reference_time=reference_time)
-        test_set = _load(test_src, fmt=fmt, reference_time=reference_time)
+        train_set = load_dataset(train_src, fmt=fmt, reference_time=reference_time)
+        test_set = load_dataset(test_src, fmt=fmt, reference_time=reference_time)
     else:
-        full = _load(train_src, fmt=fmt, reference_time=reference_time)
+        full = load_dataset(train_src, fmt=fmt, reference_time=reference_time)
         counts = full.class_counts()
         test_size = int(len(full) * test_fraction)
         if test_size == 0:

@@ -8,7 +8,7 @@ from datetime import datetime, timedelta, timezone
 from json.encoder import encode_basestring_ascii as json_string
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .model import (
     Account,
@@ -59,10 +59,17 @@ NEIGHBOR_COLUMNS = ["id", "followers_count", "statuses_count"]
 
 
 def parse_timestamp(raw: str) -> datetime:
+    """An ISO-8601 instant; a year below 1000 may be unpadded (`format_timestamp`)."""
     text = raw.strip()
     if text.endswith("Z"):
         text = text[:-1] + "+00:00"
-    return utc(datetime.fromisoformat(text))
+    try:
+        return utc(datetime.fromisoformat(text))
+    except ValueError:
+        year, dash, rest = text.partition("-")
+        if not (dash and len(year) < 4 and year.isascii() and year.isdigit()):
+            raise
+        return utc(datetime.fromisoformat(year.zfill(4) + dash + rest))
 
 
 def format_timestamp(dt: datetime) -> str:
@@ -201,29 +208,12 @@ def _bool_field(path: Path, line: int, column: str, raw: Optional[str]) -> bool:
     return value
 
 
-def _resolve_paths(source, fmt: str) -> dict[str, Optional[Path]]:
+def _resolve_paths(source, fmt: str) -> list[Optional[Path]]:
+    """The users, tweets, edges and neighbors files under ``source``."""
     extensions = ("csv", "json", "jsonl") if fmt == "csv" else ("json", "jsonl", "csv")
-    if isinstance(source, Mapping):
-        return {
-            key: Path(p) if p is not None else None
-            for key, p in (
-                ("users", source.get("users")),
-                ("tweets", source.get("tweets")),
-                ("edges", source.get("edges")),
-                ("neighbors", source.get("neighbors")),
-            )
-        }
     base = Path(source)
-    found: dict[str, Optional[Path]] = {}
-    for key in ("users", "tweets", "edges", "neighbors"):
-        for ext in extensions:
-            candidate = base / f"{key}.{ext}"
-            if candidate.exists():
-                found[key] = candidate
-                break
-        else:
-            found[key] = None
-    return found
+    return [next(filter(Path.exists, (base / f"{key}.{ext}" for ext in extensions)), None)
+            for key in ("users", "tweets", "edges", "neighbors")]
 
 
 def load_dataset(
@@ -235,7 +225,7 @@ def load_dataset(
     """Load and integrity-check a corpus from ``source``.
 
     ``source`` is a directory holding users/tweets/edges(.csv|.json|.jsonl)
-    files (neighbors optional) or a mapping of those keys to explicit paths.
+    files (neighbors optional).
     Each file is parsed by its extension; ``fmt`` picks the extension looked
     for first and parses a file whose extension is neither.
     When ``reference_time`` is not given it defaults to the newest timestamp
@@ -243,9 +233,8 @@ def load_dataset(
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
-    paths = _resolve_paths(source, fmt)
-    users_path = paths["users"]
-    if users_path is None or not users_path.exists():
+    users_path, tweets_path, edges_path, neighbors_path = _resolve_paths(source, fmt)
+    if users_path is None:
         raise EmptyCorpusError(f"no users file found under {source}")
 
     accounts: dict[str, Account] = {}
@@ -282,8 +271,7 @@ def load_dataset(
         raise EmptyCorpusError(f"{users_path}: no accounts")
 
     tweets: dict[str, list[Tweet]] = {uid: [] for uid in accounts}
-    tweets_path = paths["tweets"]
-    if tweets_path is not None and tweets_path.exists():
+    if tweets_path is not None:
         seen_tweets: set[str] = set()
         dangling: list[str] = []
         for line, (
@@ -324,8 +312,7 @@ def load_dataset(
             )
 
     neighbor_summaries: dict[str, NeighborSummary] = {}
-    neighbors_path = paths["neighbors"]
-    if neighbors_path is not None and neighbors_path.exists():
+    if neighbors_path is not None:
         for line, (nid, followers, statuses) in _rows(
             neighbors_path, fmt, NEIGHBOR_COLUMNS, NEIGHBOR_COLUMNS
         ):
@@ -338,8 +325,7 @@ def load_dataset(
             )
 
     edges: dict[tuple[str, str], None] = {}  # insertion-ordered, so also the duplicate check
-    edges_path = paths["edges"]
-    if edges_path is not None and edges_path.exists():
+    if edges_path is not None:
         for line, (src, dst) in _rows(edges_path, fmt, EDGE_COLUMNS, EDGE_COLUMNS):
             edge = (
                 _id_field(edges_path, line, "follower_id", src),
@@ -468,7 +454,14 @@ def save_dataset(dataset: LabeledDataset, out_dir, fmt: str = "csv") -> dict[str
             with open(path, "w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(columns)
-                writer.writerows(rows)
+                # csv quotes a cell holding the "\n" line terminator but not a lone
+                # "\r", which reads back as a line break: quote all of such a row
+                quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+                if any("\r" in "".join(row) for row in rows):
+                    for row in rows:
+                        (quoted if "\r" in "".join(row) else writer).writerow(row)
+                else:
+                    writer.writerows(rows)
         else:
             # the bytes of json.dumps(..., sort_keys=True) for a row of
             # strings, with the keys sorted and encoded once per table

@@ -5,7 +5,9 @@ features of a node in one pass, the 1-D information gain scans a single
 column, and a forest grown in lock-step scans the nodes of each step
 together, the candidates of a whole batch of nodes stacked into one call.
 Gains are evaluated only where the sorted value changes, and within each
-node ties go to the lowest column, then the lowest threshold.
+node ties go to the lowest column, then the lowest threshold. A fit sorts
+its columns once (`presort`); every node of every tree it grows takes its
+sorted rows from that one order.
 """
 
 from __future__ import annotations
@@ -18,23 +20,6 @@ import numpy as np
 def presort(X: np.ndarray) -> np.ndarray:
     """Stable row order of every column of ``X``, shape (d, n), C order."""
     return np.argsort(np.ascontiguousarray(X.T), axis=1, kind="stable")
-
-
-def dense_ranks(X: np.ndarray) -> np.ndarray:
-    """Per-column dense ranks of the finite ``X``, same shape, unsigned ints.
-
-    Equal values share a rank and larger values get larger ranks, so
-    ``presort(dense_ranks(X)[rows])`` equals ``presort(X[rows])`` for any
-    row selection. Ranks of up to 16 bits are radix sorted by numpy.
-    """
-    n = X.shape[0]
-    order = presort(X)
-    values = np.take_along_axis(np.ascontiguousarray(X.T), order, axis=1)
-    steps = np.zeros(order.shape, dtype=np.intp)
-    np.cumsum(values[:, 1:] != values[:, :-1], axis=1, out=steps[:, 1:])
-    ranks = np.empty_like(steps)
-    np.put_along_axis(ranks, order, steps, axis=1)
-    return ranks.T.astype(np.min_scalar_type(max(n - 1, 0)))
 
 
 def _entropy_pair(pos: np.ndarray, total: np.ndarray) -> np.ndarray:

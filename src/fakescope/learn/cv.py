@@ -15,7 +15,7 @@ from ..metrics import ConfusionMatrix, MetricsReport, RocResult, roc_auc, summar
 from ..seeding import derive_seed
 # perfbench/tracing.py times the learn.fit_s.* layer by wrapping this module's `train`
 from .model import jsonable_params, predict_many, train, train_many  # noqa: F401
-from .tree import LearnError
+from .tree import FAKE_CUT, LearnError
 
 
 @dataclass
@@ -84,7 +84,7 @@ def cross_validate_matrix(
         test_rows = [row_of[uid] for uid in test_ids]
         _, scores = predict_many(model, matrix.values[test_rows])
         y_test = y[test_rows]
-        predicted = (scores >= 0.5).astype(np.float64)
+        predicted = (scores >= FAKE_CUT).astype(np.float64)
         fold_cms.append(ConfusionMatrix.from_predictions(y_test, predicted))
         pooled_scores.extend(float(s) for s in scores)
         pooled_labels.extend(float(v) for v in y_test)

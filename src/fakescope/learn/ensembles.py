@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..kernels import dense_ranks, presort
+from ..kernels import presort
 from ..seeding import make_rng
-from .tree import LearnError, Tree, grow_tree, grow_trees, predict_each, tree_predict_proba
+from .tree import FAKE_CUT, LearnError, Tree, grow_tree, grow_trees, predict_each
 
 
 @dataclass
@@ -30,8 +30,9 @@ def rf_fit(
     """Bootstrap each tree; per split, draw ceil(sqrt(d)) candidate features.
 
     Tree t draws its bootstrap sample and then its candidates from its own
-    generator, ``make_rng(seed, 7, t)``. Each tree's sample is sorted once,
-    by the dense ranks of X, and the trees grow in lock-step
+    generator, ``make_rng(seed, 7, t)``. X is sorted once per fit, and
+    each tree's sorted rows are that order with every row repeated as
+    often as its sample drew it; the trees grow in lock-step
     (`grow_trees`) on row ids of X, not on copies of their rows.
     """
     if n_trees < 1:
@@ -41,14 +42,10 @@ def rf_fit(
     n, d = X.shape
     mtry = d if feature_sample == "all" else max(1, math.ceil(math.sqrt(d)))
     rngs = [make_rng(seed, 7, t) for t in range(n_trees)]
-    samples = np.stack([rng.integers(0, n, size=n) for rng in rngs])
-    ranks = np.ascontiguousarray(dense_ranks(X).T)
-    sorted_rows = np.empty((n_trees, d, n), dtype=np.min_scalar_type(max(n - 1, 0)))
-    for t, sample in enumerate(samples):
-        sorted_rows[t] = sample[np.argsort(ranks[:, sample], axis=1, kind="stable")]
-    samples.sort(axis=1)
-    trees = grow_trees(X, y, sorted_rows, samples.astype(sorted_rows.dtype), min_leaf=min_leaf,
-                       max_depth=max_depth, rngs=rngs, mtry=mtry)
+    counts = np.stack([np.bincount(rng.integers(0, n, size=n), minlength=n) for rng in rngs])
+    order = presort(X).astype(np.min_scalar_type(max(n - 1, 0)))
+    trees = grow_trees(X, y, order, counts, min_leaf=min_leaf, max_depth=max_depth, rngs=rngs,
+                       mtry=mtry)
     return ForestState(trees=trees, mtry=mtry)
 
 
@@ -88,7 +85,7 @@ def ab_fit(
     trees: list[Tree] = []
     for t in range(rounds):
         tree = grow_tree(X, y, weights=w, min_leaf=min_leaf, max_depth=depth, order=order)
-        pred = (tree_predict_proba(tree, X) >= 0.5).astype(np.float64)
+        pred = (predict_each([tree], X)[0] >= FAKE_CUT).astype(np.float64)
         miss = pred != y
         err = float(w[miss].sum())
         err = min(max(err, 1e-10), 1.0 - 1e-10)
@@ -109,6 +106,6 @@ def ab_scores(state: BoostState, X: np.ndarray) -> np.ndarray:
         return np.full(X.shape[0], 0.5)
     margin = np.zeros(X.shape[0])
     for alpha, probs in zip(state.alphas, predict_each(state.trees, X)):
-        h = np.where(probs >= 0.5, 1.0, -1.0)
+        h = np.where(probs >= FAKE_CUT, 1.0, -1.0)
         margin += alpha * h
     return (margin / total_alpha + 1.0) / 2.0

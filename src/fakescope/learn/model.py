@@ -23,6 +23,7 @@ from .simple import (
     nb_scores,
 )
 from .tree import (
+    FAKE_CUT,
     LearnError,
     Tree,
     grow_tree,
@@ -214,7 +215,7 @@ def predict_scores(model: TrainedModel, X: np.ndarray) -> np.ndarray:
 
 def predict_many(model: TrainedModel, X: np.ndarray) -> tuple[list[str], np.ndarray]:
     scores = predict_scores(model, X)
-    labels = ["fake" if s >= 0.5 else "human" for s in scores]
+    labels = ["fake" if s >= FAKE_CUT else "human" for s in scores]
     return labels, scores
 
 

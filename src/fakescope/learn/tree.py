@@ -14,6 +14,7 @@ from ..kernels import best_threshold_split, presort
 from ..seeding import make_rng
 
 GAIN_EPS = 1e-12
+FAKE_CUT = 0.5  # a score (or a leaf's fake share) at or above it means fake
 # One split search stacks the nodes of a step, smallest first, while the
 # stacked block holds at most SEARCH_CELLS (row, candidate column) cells
 # and its largest node is at most PAD_RATIO times its smallest; a larger
@@ -140,8 +141,8 @@ def _batches(nodes: list, same_size: bool) -> list:
 def grow_trees(
     X: np.ndarray,
     y: np.ndarray,
-    sorted_rows: np.ndarray,
-    samples: np.ndarray,
+    order: np.ndarray,
+    counts: Optional[np.ndarray] = None,
     weights: Optional[np.ndarray] = None,
     min_leaf: int = 2,
     max_depth: Optional[int] = None,
@@ -150,14 +151,14 @@ def grow_trees(
 ) -> list[Tree]:
     """Grows one tree per row sample of ``X``, all of them in lock-step.
 
-    ``samples[t]`` holds tree t's rows of ``X`` as ascending row ids
-    (repeats allowed, as in a bootstrap sample), and ``sorted_rows[t]`` the
-    same ids once per column, each row of the (d, n) block sorted by that
-    column. ``y`` (0/1 labels) and ``weights`` are per row of ``X``; with
-    weights, equal values must keep ascending ids (``presort``), and
-    without them (every weight 1) they may come in any order, since every
-    sum the search takes over whole runs of equal values is then an exact
-    count.
+    ``order`` is ``presort(X)``, in any integer dtype. ``counts[t]`` holds
+    how often tree t draws each row of ``X`` (a bootstrap sample's
+    ``np.bincount``), and its root takes ``order`` with every row repeated
+    that often; ``None`` grows one tree on every row once. ``y`` (0/1
+    labels) and ``weights`` are per row of ``X``; with weights, equal
+    values must keep ascending ids (``presort``), and without them (every
+    weight 1) they may come in any order, since every sum the search takes
+    over whole runs of equal values is then an exact count.
 
     Each tree is grown best-gain split by split, depth first, left before
     right. With ``rngs``/``mtry`` set, each split considers a random subset
@@ -173,8 +174,8 @@ def grow_trees(
     takes its rows from its parent's sorted lists by a stable partition,
     so no column is sorted twice.
     """
-    n_trees, d, _ = sorted_rows.shape
-    N = X.shape[0]
+    d, N = order.shape
+    n_trees = 1 if counts is None else len(counts)
     if weights is None:  # unit weights: a node's weight is its row count
         w, wy = None, np.asarray(y, dtype=np.float64)
     else:
@@ -267,10 +268,14 @@ def grow_trees(
             left = np.compress(on_left, rows).reshape(d, -1)
             stacks[t].append((left_node, left, left_idx, depth + 1))
 
+    ids, flat_order = np.arange(N), order.ravel()
+    at = flat_order.astype(np.intp, copy=False)  # numpy gathers fastest by intp ids
     for t in range(n_trees):
-        root, root_open = new_node(t, len(samples[t]), *totals(samples[t]), 0)
+        rows = order if counts is None else np.repeat(flat_order, counts[t][at]).reshape(d, -1)
+        idx = ids if counts is None else np.repeat(ids, counts[t])
+        root, root_open = new_node(t, len(idx), *totals(idx), 0)
         if root_open:
-            stacks[t].append((root, sorted_rows[t], samples[t], 0))
+            stacks[t].append((root, rows, idx, 0))
 
     def step(live: list) -> None:
         """Pops, draws for, searches and splits the next open node of every
@@ -319,9 +324,8 @@ def grow_tree(
     trees on the same rows; ``rng`` and ``mtry`` draw candidate features
     only when both are set.
     """
-    sorted_rows = presort(X) if order is None else order
     rngs = None if rng is None or mtry is None else [rng]
-    return grow_trees(X, y, sorted_rows[None], np.arange(X.shape[0])[None], weights,
+    return grow_trees(X, y, presort(X) if order is None else order, None, weights,
                       min_leaf, max_depth, rngs, mtry)[0]
 
 
@@ -452,7 +456,7 @@ def reduced_error_prune(
     for level in reversed(list(_levels(tree))):
         split = level[tree.left[level] >= 0]
         wrong[:, split] = wrong[:, tree.left[split]] + wrong[:, tree.right[split]]
-    majority = (tree.prob_fake >= 0.5).astype(int)  # ties resolve toward fake
+    majority = (tree.prob_fake >= FAKE_CUT).astype(int)  # ties resolve toward fake
     return _prune(tree, wrong[majority, np.arange(size)].tolist(), slack=0)
 
 

@@ -29,6 +29,7 @@ from .learn.model import (
     train_many,
     unused_columns,
 )
+from .learn.tree import FAKE_CUT
 from .metrics import ConfusionMatrix, mcc
 from .seeding import derive_seed
 
@@ -102,7 +103,7 @@ def _test_mcc(
 ) -> tuple[float, np.ndarray]:
     """A trained model's test MCC and its 0/1 test predictions."""
     _, scores = predict_many(model, test_matrix.values)
-    predicted = (scores >= 0.5).astype(np.float64)
+    predicted = (scores >= FAKE_CUT).astype(np.float64)
     return mcc(ConfusionMatrix.from_predictions(y_test, predicted)), predicted
 
 

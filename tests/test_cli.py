@@ -268,6 +268,48 @@ class TestPrune:
         assert load_manifest(tmp_path / "manifest.json")["parameters"]["params"]["prune"] == recorded
 
 
+class TestCheckedFlags:
+    @pytest.mark.parametrize(
+        ("argv", "named", "message"),
+        [
+            (["sweep", "--fractions", "a:b:c"], "--fractions 'a:b:c'",
+             "could not convert string to float: 'a'"),
+            (["sweep", "--fractions", "0.1:0.5"], "--fractions '0.1:0.5'",
+             "expected START:STOP:STEP or a single value"),
+            (["sweep", "--fractions", "0.1:0.9:0"], "--fractions '0.1:0.9:0'",
+             "the step must be positive"),
+            (["sweep", "--fractions", "0.9:0.1:0.1"], "--fractions '0.9:0.1:0.1'",
+             "give at least one fraction, each strictly between 0 and 1"),
+            (["sweep", "--fractions", "0.5:inf:0.25"], "--fractions '0.5:inf:0.25'",
+             "give at least one fraction, each strictly between 0 and 1"),
+            (["sweep", "--fractions", "1.5"], "--fractions '1.5'",
+             "give at least one fraction, each strictly between 0 and 1"),
+            (["sweep", "--k", "1"], "--k '1'", "must be at least 2"),
+            (["ingest", "--reference-time", "bogus"], "--reference-time 'bogus'",
+             "Invalid isoformat string: 'bogus'"),
+            (["cv", "--reference-time", "2015-13-01"], "--reference-time '2015-13-01'",
+             "month must be in 1..12"),
+            (["cv", "--algo", "knn", "--knn-k", "0"], "--knn-k '0'", "must be at least 1"),
+            (["cv", "--k", "1"], "--k '1'", "must be at least 2"),
+        ],
+    )
+    def test_bad_value_exits_2_naming_the_flag_before_reading_the_corpus(
+        self, tmp_path, capsys, argv, named, message
+    ):
+        command, *flags = argv
+        if command == "sweep":
+            flags += ["--target-size", "10"]
+        # the corpus does not exist: reading it would be a different error
+        assert run([command, tmp_path / "absent", *flags, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {named}: {message}")
+        assert not (tmp_path / "out").exists()
+
+    def test_a_year_below_1000_is_a_valid_reference_time(self, corpus_dir, tmp_path):
+        assert run(["features", corpus_dir, "--class", "a", "--reference-time",
+                    "999-12-31T23:59:59Z", "--out", tmp_path]) == 0
+
+
 class TestTestFraction:
     @pytest.mark.parametrize("fraction", ["0", "1", "1.5"])
     def test_outside_the_open_unit_interval_is_a_usage_error(

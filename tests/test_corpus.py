@@ -3,6 +3,7 @@
 import filecmp
 import json
 import shutil
+import tempfile
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -25,7 +26,7 @@ from fakescope.corpus import (
 )
 
 from fakescope.corpus.io import format_timestamp
-from fakescope.corpus.model import utc
+from fakescope.corpus.model import NeighborSummary, utc
 
 from conftest import REF, make_account, make_dataset, make_tweet
 
@@ -407,3 +408,57 @@ class TestSplitFolds:
 def test_timestamps_are_written_as_strftime_writes_them(dt):
     """glibc's %Y does not zero-pad years below 1000."""
     assert format_timestamp(dt) == utc(dt).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+instants = st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31),
+                        timezones=st.just(timezone.utc)).map(lambda dt: dt.replace(microsecond=0))
+counts = st.integers(0, 10**9)
+texts = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+cells = texts.filter(str.strip)  # a blank optional cell reads back as None
+names = st.text("abcxyz_0", min_size=1, max_size=6)
+
+
+@st.composite
+def corpora(draw):
+    """Accounts created as early as year 1, with timelines, follow edges
+    among accounts and neighbors, and neighbor summaries."""
+    uids = draw(st.lists(names, min_size=1, max_size=5, unique=True))
+    nids = draw(st.lists(names.map("n-{}".format), max_size=3, unique=True))
+    accounts = [
+        make_account(
+            uid, draw(st.sampled_from([None, "human", "fake"])),
+            screen_name=draw(names), name=draw(texts), created_at=draw(instants),
+            followers_count=draw(counts), friends_count=draw(counts),
+            statuses_count=draw(counts), listed_count=draw(counts),
+            favourites_count=draw(counts), url=draw(st.none() | cells),
+            location=draw(st.none() | cells), description=draw(st.none() | cells),
+            default_profile_image=draw(st.booleans()),
+            profile_image_fingerprint=draw(st.none() | cells))
+        for uid in uids
+    ]
+    tweets = {
+        uid: [make_tweet(uid, i, created_at=draw(instants), text=draw(texts),
+                         source=draw(texts), is_retweet=draw(st.booleans()),
+                         retweet_count=draw(counts), is_geolocalized=draw(st.booleans()),
+                         num_hashtags=draw(counts), num_mentions=draw(counts),
+                         num_urls=draw(counts))
+              for i in range(draw(st.integers(0, 3)))]
+        for uid in uids
+    }
+    ends = st.sampled_from(uids + nids)
+    edges = draw(st.lists(st.tuples(ends, ends).filter(lambda e: e[0] != e[1]), max_size=6,
+                          unique=True))
+    neighbors = {nid: NeighborSummary(draw(counts), draw(counts)) for nid in nids}
+    return make_dataset(accounts, tweets, edges, neighbors, reference_time=draw(instants))
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpora(), st.sampled_from(["csv", "json"]))
+def test_a_saved_corpus_loads_back_equal(ds, fmt):
+    with tempfile.TemporaryDirectory() as out:
+        save_dataset(ds, out, fmt=fmt)
+        loaded = load_dataset(out, fmt=fmt, reference_time=ds.reference_time)
+    assert loaded.accounts == ds.accounts
+    assert loaded.tweets == ds.tweets
+    assert sorted(loaded.graph.edges) == sorted(ds.graph.edges)
+    assert loaded.graph.neighbor_summaries == ds.graph.neighbor_summaries

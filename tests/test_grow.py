@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fakescope.kernels import best_threshold_split, dense_ranks, presort
+from fakescope.kernels import best_threshold_split, presort
 from fakescope.learn.ensembles import ab_fit, rf_fit
 from fakescope.learn.tree import GAIN_EPS, Tree, grow_tree, tree_predict_proba
 from fakescope.seeding import make_rng
@@ -93,13 +93,12 @@ def _oracle_grow_tree(X, y, weights=None, min_leaf=2, max_depth=None, rng=None, 
 def _oracle_rf_fit(X, y, seed, n_trees, min_leaf, max_depth, feature_sample):
     n, d = X.shape
     mtry = d if feature_sample == "all" else max(1, math.ceil(math.sqrt(d)))
-    ranks = dense_ranks(X)
     trees = []
     for t in range(n_trees):
         rng = make_rng(seed, 7, t)
         idx = rng.integers(0, n, size=n)
         trees.append(_oracle_grow_tree(X[idx], y[idx], min_leaf=min_leaf, max_depth=max_depth,
-                                       rng=rng, mtry=mtry, order=presort(ranks[idx])))
+                                       rng=rng, mtry=mtry, order=presort(X[idx])))
     return trees
 
 
