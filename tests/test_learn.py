@@ -296,6 +296,12 @@ class TestModelValidation:
         with pytest.raises(LearnError, match="knn k must be an integer from 1 to 4"):
             model_from_json(json.dumps(payload))
 
+    def test_scalar_where_an_array_belongs(self):
+        payload = json.loads(model_to_json(train("lr", simple_matrix(), seed=0)))
+        payload["state"]["mean"] = 5
+        with pytest.raises(LearnError, match="'mean' has shape \\(\\), expected \\(1,\\)"):
+            model_from_json(json.dumps(payload))
+
     def test_lr_weights_not_numbers(self):
         payload = json.loads(model_to_json(train("lr", simple_matrix(), seed=0)))
         payload["state"]["weights"] = ["a", "b"]
@@ -393,12 +399,15 @@ def _noisy_class_a_matrix():
     return extract(_noisy_class_a_dataset(), CLASS_A_SPECS)
 
 
-# sha256 of model_to_json, recorded before the split search was presorted
+# sha256 of model_to_json: dt, rf and ab recorded before the split search was
+# presorted, knn and nb before the state codec was derived from the dataclasses
 GOLDEN_MODELS = {
     "dt": (None, "d83314c4d345f8874ac245b82cfbef36275517fa89f2cfee9d8fddd799541e63"),
     "rf": ({"n_trees": 8}, "623ce711c1dcd762f0eba1295a942f03931ec9a2cec283dd7a70d34387fd2ceb"),
     "ab": ({"rounds": 20, "depth": 2},
            "1f44b7d16408e274826915610adc6194a734b8f65b1b2e1f97ecd194e0d6c2b3"),
+    "knn": (None, "fcd733f9a8d4f1c7418cb4c6495aa059891e0593121cc2d6a8ac04a4a20fafff"),
+    "nb": (None, "c7186c695614b2e6ed2bbf4b1bbc367f013a84e2e5a0a45c9591c781eea9494e"),
 }
 
 
