@@ -9,7 +9,6 @@ artifacts. Exit codes: 0 success, 1 usage error, 2 data error.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import sys
@@ -37,7 +36,7 @@ from .features.extract import extract
 from .learn.cv import class_distribution_sweep, cross_validate
 from .learn.model import ALGORITHMS, jsonable_params, model_to_json, train as train_model
 from .learn.tree import LearnError
-from .manifest import RunManifest, write_json
+from .manifest import RunManifest, write_csv, write_json
 from .metrics import MetricError
 from .rules.context import iter_contexts
 from .rules.report import rule_report, run_ruleset
@@ -68,18 +67,13 @@ def _resolve_seed(seed: Optional[int]) -> int:
 def _write_rows(path: Path, rows: Sequence[dict], fmt: str) -> Path:
     if fmt == "json":
         return write_json(path.with_suffix(".json"), list(rows))
-    path.parent.mkdir(parents=True, exist_ok=True)
     columns: list[str] = []
     for row in rows:
         for key in row:
             if key not in columns:
                 columns.append(key)
-    with open(path.with_suffix(".csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _cell(v) for k, v in row.items()})
-    return path.with_suffix(".csv")
+    cells = [[_cell(row.get(column)) for column in columns] for row in rows]
+    return write_csv(path.with_suffix(".csv"), columns, cells)
 
 
 def _cell(value) -> str:
@@ -386,18 +380,25 @@ def cv(src, algo, feature_selector, k, seed, out_dir, fmt, reference_time, jobs,
     _echo_table([pooled_row])
 
 
+MAX_FRACTIONS = 1_000  # each fraction is a full k-fold CV; the default range has 19
+
+
 def _parse_fractions(spec: str) -> list[float]:
     """``START:STOP:STEP``, or a single value, as the human fractions it
-    names: at least one, each strictly between 0 and 1."""
+    names: at least one and at most MAX_FRACTIONS, each strictly between 0
+    and 1."""
     values = [float(part) for part in spec.split(":")]
     if len(values) == 3:
         start, stop, step = values
         if not step > 0:
             raise ValueError("the step must be positive")
         values = []  # the first value out of range ends a range, even one with no end
-        while start <= stop + 1e-9 and (not values or 0.0 < values[-1] < 1.0):
-            values.append(round(start, 10))
-            start += step
+        value = start
+        while value <= stop + 1e-9 and (not values or 0.0 < values[-1] < 1.0):
+            if len(values) == MAX_FRACTIONS:  # also ends a step too small to move START
+                raise ValueError(f"the range names more than {MAX_FRACTIONS} fractions")
+            values.append(round(value, 10))
+            value = start + len(values) * step
     elif len(values) != 1:
         raise ValueError("expected START:STOP:STEP or a single value")
     if not values or not all(0.0 < value < 1.0 for value in values):

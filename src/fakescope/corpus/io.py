@@ -10,6 +10,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
+from ..manifest import write_csv
 from .model import (
     Account,
     LabeledDataset,
@@ -101,18 +102,8 @@ def _optional(raw: Optional[str]) -> Optional[str]:
     return raw if raw.strip() else None
 
 
-def _format_of(path: Path, fmt: str) -> str:
-    """The format a file is parsed in: its extension's, else ``fmt``."""
-    suffix = path.suffix.lower()
-    if suffix == ".csv":
-        return "csv"
-    if suffix in (".json", ".jsonl"):
-        return "json"
-    return fmt
-
-
 def _rows(
-    path: Path, fmt: str, columns: list[str], required: list[str]
+    path: Path, columns: list[str], required: list[str]
 ) -> Iterator[tuple[int, Sequence[Optional[str]]]]:
     """Yields ``(line, cells)`` for each row of a CSV or JSON-lines file.
 
@@ -120,7 +111,7 @@ def _rows(
     string, or None where the row lacks the cell (a short CSV row, a column
     the header does not name, a field the JSON object does not have).
     """
-    if _format_of(path, fmt) == "csv":
+    if path.suffix == ".csv":  # else .json or .jsonl, the only others `_resolve_paths` finds
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
@@ -227,7 +218,7 @@ def load_dataset(
     ``source`` is a directory holding users/tweets/edges(.csv|.json|.jsonl)
     files (neighbors optional).
     Each file is parsed by its extension; ``fmt`` picks the extension looked
-    for first and parses a file whose extension is neither.
+    for first.
     When ``reference_time`` is not given it defaults to the newest timestamp
     in the corpus plus one day.
     """
@@ -241,7 +232,7 @@ def load_dataset(
     for line, (
         uid, screen_name, name, created_at, followers, friends, statuses, listed, favourites,
         url, location, description, default_image, fingerprint, label,
-    ) in _rows(users_path, fmt, USER_COLUMNS, ["id", "screen_name", "created_at"]):
+    ) in _rows(users_path, USER_COLUMNS, ["id", "screen_name", "created_at"]):
         uid = _id_field(users_path, line, "id", uid)
         if uid in accounts:
             raise DuplicateIdError(f"{users_path}: duplicate user_id {uid!r}")
@@ -276,7 +267,7 @@ def load_dataset(
         dangling: list[str] = []
         for line, (
             tid, uid, created_at, text, source, retweet, retweets, geo, *entity_cells
-        ) in _rows(tweets_path, fmt, TWEET_COLUMNS, ["id", "user_id", "created_at"]):
+        ) in _rows(tweets_path, TWEET_COLUMNS, ["id", "user_id", "created_at"]):
             tid = _id_field(tweets_path, line, "id", tid)
             if tid in seen_tweets:
                 raise DuplicateIdError(f"{tweets_path}: duplicate tweet id {tid!r}")
@@ -314,7 +305,7 @@ def load_dataset(
     neighbor_summaries: dict[str, NeighborSummary] = {}
     if neighbors_path is not None:
         for line, (nid, followers, statuses) in _rows(
-            neighbors_path, fmt, NEIGHBOR_COLUMNS, NEIGHBOR_COLUMNS
+            neighbors_path, NEIGHBOR_COLUMNS, NEIGHBOR_COLUMNS
         ):
             nid = _id_field(neighbors_path, line, "id", nid)
             if nid in neighbor_summaries:
@@ -326,7 +317,7 @@ def load_dataset(
 
     edges: dict[tuple[str, str], None] = {}  # insertion-ordered, so also the duplicate check
     if edges_path is not None:
-        for line, (src, dst) in _rows(edges_path, fmt, EDGE_COLUMNS, EDGE_COLUMNS):
+        for line, (src, dst) in _rows(edges_path, EDGE_COLUMNS, EDGE_COLUMNS):
             edge = (
                 _id_field(edges_path, line, "follower_id", src),
                 _id_field(edges_path, line, "followed_id", dst),
@@ -451,17 +442,7 @@ def save_dataset(dataset: LabeledDataset, out_dir, fmt: str = "csv") -> dict[str
     for name, columns, rows in tables:
         path = out / f"{name}.{ext}"
         if fmt == "csv":
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(columns)
-                # csv quotes a cell holding the "\n" line terminator but not a lone
-                # "\r", which reads back as a line break: quote all of such a row
-                quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
-                if any("\r" in "".join(row) for row in rows):
-                    for row in rows:
-                        (quoted if "\r" in "".join(row) else writer).writerow(row)
-                else:
-                    writer.writerows(rows)
+            write_csv(path, columns, rows)
         else:
             # the bytes of json.dumps(..., sort_keys=True) for a row of
             # strings, with the keys sorted and encoded once per table

@@ -8,7 +8,6 @@ extraction is deterministic.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,6 +17,7 @@ import numpy as np
 
 from ..corpus.errors import InsufficientDataError
 from ..corpus.model import Account, LabeledDataset, RelationshipGraph, Tweet
+from ..manifest import write_csv
 from ..metrics import MetricError
 from ..rules.catalog import RuleId, account_age_days, evaluate_rule
 from ..rules.context import AccountContext, capped_ratio, fraction, iter_contexts
@@ -194,14 +194,11 @@ class FeatureMatrix:
         )
 
     def to_csv(self, path) -> Path:
-        path = Path(path)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["account_id", *self.feature_names, "label"])
-            for i, uid in enumerate(self.account_ids):
-                row = [uid] + [repr(float(v)) for v in self.values[i]] + [self.labels[i] or ""]
-                writer.writerow(row)
-        return path
+        rows = [
+            [uid, *[repr(float(v)) for v in self.values[i]], self.labels[i] or ""]
+            for i, uid in enumerate(self.account_ids)
+        ]
+        return write_csv(path, ["account_id", *self.feature_names, "label"], rows)
 
     def to_jsonl(self, path) -> Path:
         path = Path(path)

@@ -12,6 +12,9 @@ from ..seeding import make_rng
 from .tree import FAKE_CUT, LearnError, Tree, grow_tree, grow_trees, predict_each
 
 
+AB_ROUNDS = 50  # boosting rounds when the params name none
+
+
 @dataclass
 class ForestState:
     trees: list[Tree]
@@ -66,7 +69,7 @@ class BoostState:
 def ab_fit(
     X: np.ndarray,
     y: np.ndarray,
-    rounds: int = 50,
+    rounds: int = AB_ROUNDS,
     depth: int = 1,
     min_leaf: int = 2,
 ) -> BoostState:

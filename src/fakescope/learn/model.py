@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Optional, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from ..features.catalog import BOOLEAN
 from ..features.extract import FeatureMatrix
-from .ensembles import BoostState, ForestState, ab_fit, ab_scores, rf_fit, rf_scores
+from .ensembles import AB_ROUNDS, BoostState, ForestState, ab_fit, ab_scores, rf_fit, rf_scores
 from .simple import (
     KnnState,
     LogisticState,
@@ -35,15 +35,32 @@ from .tree import (
 
 ALGORITHMS = ("dt", "rf", "ab", "knn", "nb", "lr")
 
+# The params keys each algorithm's fit takes; each default lives in the fit's
+# signature (grow_tree, rf_fit, ab_fit, knn_fit, lr_fit_many). dt also takes
+# "prune", applied after the fit. Keys an algorithm does not take are ignored.
+FIT_PARAMS = {
+    "dt": ("min_leaf", "max_depth"),
+    "rf": ("n_trees", "min_leaf", "max_depth", "feature_sample"),
+    "ab": ("rounds", "depth", "min_leaf"),
+    "knn": ("k",),
+    "nb": (),
+    "lr": ("ridge", "max_iter", "tol"),
+}
+
 MODEL_FORMAT_VERSION = 1
-AB_ROUNDS = 50  # boosting rounds when the params name none
+UNSAVED = {"saved": False}  # field metadata: a state field model.json leaves out
 
 
 @dataclass
 class TreeState:
-    root: Tree
-    X: np.ndarray  # retained training sample, for reduced-error pruning
-    y: np.ndarray
+    root: Tree = field(metadata={"key": "tree"})
+    # the training sample, for reduced-error pruning; a model read from JSON has none
+    X: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)), metadata=UNSAVED)
+    y: np.ndarray = field(default_factory=lambda: np.zeros(0), metadata=UNSAVED)
+
+
+STATES = {"dt": TreeState, "rf": ForestState, "ab": BoostState, "knn": KnnState,
+          "nb": NaiveBayesState, "lr": LogisticState}
 
 
 @dataclass
@@ -76,37 +93,17 @@ def _check_matrix(matrix: FeatureMatrix) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def _fit_state(algorithm: str, matrix: FeatureMatrix, params: dict, seed: int):
+def _fit_state(algorithm: str, matrix: FeatureMatrix, fit_params: dict, seed: int):
     """One classifier's state, for every algorithm but lr."""
     X, y = _check_matrix(matrix)
     if algorithm == "dt":
-        root = grow_tree(
-            X,
-            y,
-            min_leaf=params.get("min_leaf", 2),
-            max_depth=params.get("max_depth"),
-        )
-        return TreeState(root=root, X=X, y=y)
+        return TreeState(root=grow_tree(X, y, **fit_params), X=X, y=y)
     if algorithm == "rf":
-        return rf_fit(
-            X,
-            y,
-            seed=seed,
-            n_trees=params.get("n_trees", 64),
-            min_leaf=params.get("min_leaf", 2),
-            max_depth=params.get("max_depth"),
-            feature_sample=params.get("feature_sample", "sqrt"),
-        )
+        return rf_fit(X, y, seed=seed, **fit_params)
     if algorithm == "ab":
-        return ab_fit(
-            X,
-            y,
-            rounds=params.get("rounds", AB_ROUNDS),
-            depth=params.get("depth", 1),
-            min_leaf=params.get("min_leaf", 2),
-        )
+        return ab_fit(X, y, **fit_params)
     if algorithm == "knn":
-        return knn_fit(X, y, k=params.get("k", 5))
+        return knn_fit(X, y, **fit_params)
     boolean_mask = np.asarray([s.kind == BOOLEAN for s in matrix.specs])
     return nb_fit(X, y, boolean_mask=boolean_mask)
 
@@ -129,16 +126,12 @@ def train_many(
     if len(seeds) != len(matrices):
         raise LearnError(f"{len(matrices)} matrices but {len(seeds)} seeds")
     params = dict(params or {})
+    fit_params = {name: params[name] for name in FIT_PARAMS[algorithm] if name in params}
     if algorithm == "lr":
-        states = lr_fit_many(
-            [_check_matrix(matrix) for matrix in matrices],
-            ridge=params.get("ridge", 1e-3),
-            max_iter=params.get("max_iter", 10_000),
-            tol=params.get("tol", 1e-6),
-        )
+        states = lr_fit_many([_check_matrix(matrix) for matrix in matrices], **fit_params)
     else:
         states = [
-            _fit_state(algorithm, matrix, params, seed)
+            _fit_state(algorithm, matrix, fit_params, seed)
             for matrix, seed in zip(matrices, seeds)
         ]
     models = [
@@ -247,11 +240,11 @@ def prune(model: TrainedModel, strategy, seed: int = 0) -> TrainedModel:
                 "reduced_error pruning needs the training sample, which this model "
                 "does not carry (a model read from JSON keeps only its tree)"
             )
-        folds = int(arg) if arg is not None else 3
-        root = reduced_error_prune(state.root, state.X, state.y, folds=folds, seed=seed)
+        given = {} if arg is None else {"folds": int(arg)}
+        root = reduced_error_prune(state.root, state.X, state.y, seed=seed, **given)
     elif name == "subtree_raising":
-        confidence = float(arg) if arg is not None else 0.25
-        root = pessimistic_prune(state.root, confidence=confidence)
+        given = {} if arg is None else {"confidence": float(arg)}
+        root = pessimistic_prune(state.root, **given)
     else:
         raise LearnError(f"unknown pruning strategy {name!r}")
     params = dict(model.params)
@@ -272,79 +265,46 @@ def model_tree_stats(model: TrainedModel):
     return tree_stats(model.state.root)
 
 
+def _saved_fields(state_type) -> list:
+    return [f for f in fields(state_type) if f.metadata.get("saved", True)]
+
+
+def _encoded(value):
+    if isinstance(value, Tree):
+        return value.to_dict()
+    if isinstance(value, list):
+        return [_encoded(item) for item in value]
+    if isinstance(value, np.ndarray):
+        return (value.astype(int) if value.dtype == bool else value).tolist()
+    return value
+
+
+def _decoded(declared, value, n_features: int, dtype=None):
+    """``value`` read back as the type a state field ``declared``."""
+    if declared is Tree:
+        return Tree.from_dict(value, n_features)
+    if get_origin(declared) is list:
+        (item,) = get_args(declared)
+        return [_decoded(item, v, n_features) for v in value]
+    if declared is np.ndarray:
+        return np.asarray(value, dtype=dtype)
+    return value
+
+
 def _state_to_json(model: TrainedModel) -> dict:
     state = model.state
-    if model.algorithm == "dt":
-        return {"tree": state.root.to_dict()}
-    if model.algorithm == "rf":
-        return {"mtry": state.mtry, "trees": [t.to_dict() for t in state.trees]}
-    if model.algorithm == "ab":
-        return {"alphas": state.alphas, "trees": [t.to_dict() for t in state.trees]}
-    if model.algorithm == "knn":
-        return {
-            "k": state.k,
-            "mean": state.mean.tolist(),
-            "std": state.std.tolist(),
-            "X": state.X.tolist(),
-            "y": state.y.tolist(),
-        }
-    if model.algorithm == "nb":
-        return {
-            "prior_fake": state.prior_fake,
-            "is_bernoulli": state.is_bernoulli.astype(int).tolist(),
-            "p_fake": state.p_fake.tolist(),
-            "p_human": state.p_human.tolist(),
-            "mean_fake": state.mean_fake.tolist(),
-            "mean_human": state.mean_human.tolist(),
-            "var_fake": state.var_fake.tolist(),
-            "var_human": state.var_human.tolist(),
-        }
-    return {
-        "mean": state.mean.tolist(),
-        "std": state.std.tolist(),
-        "weights": state.weights.tolist(),
-        "iterations": state.iterations,
-    }
+    return {f.metadata.get("key", f.name): _encoded(getattr(state, f.name))
+            for f in _saved_fields(state)}
 
 
 def _state_from_json(algorithm: str, data: dict, n_features: int):
-    if algorithm == "dt":
-        root = Tree.from_dict(data["tree"], n_features)
-        return TreeState(root=root, X=np.zeros((0, 0)), y=np.zeros(0))
-    if algorithm == "rf":
-        return ForestState(
-            trees=[Tree.from_dict(t, n_features) for t in data["trees"]], mtry=data["mtry"]
-        )
-    if algorithm == "ab":
-        return BoostState(
-            alphas=list(data["alphas"]),
-            trees=[Tree.from_dict(t, n_features) for t in data["trees"]],
-        )
-    if algorithm == "knn":
-        return KnnState(
-            k=data["k"],
-            mean=np.asarray(data["mean"]),
-            std=np.asarray(data["std"]),
-            X=np.asarray(data["X"]),
-            y=np.asarray(data["y"]),
-        )
-    if algorithm == "nb":
-        return NaiveBayesState(
-            prior_fake=data["prior_fake"],
-            is_bernoulli=np.asarray(data["is_bernoulli"], dtype=bool),
-            p_fake=np.asarray(data["p_fake"]),
-            p_human=np.asarray(data["p_human"]),
-            mean_fake=np.asarray(data["mean_fake"]),
-            mean_human=np.asarray(data["mean_human"]),
-            var_fake=np.asarray(data["var_fake"]),
-            var_human=np.asarray(data["var_human"]),
-        )
-    return LogisticState(
-        mean=np.asarray(data["mean"]),
-        std=np.asarray(data["std"]),
-        weights=np.asarray(data["weights"]),
-        iterations=data["iterations"],
-    )
+    state_type = STATES[algorithm]
+    declared = get_type_hints(state_type)
+    return state_type(**{
+        f.name: _decoded(declared[f.name], data[f.metadata.get("key", f.name)], n_features,
+                         f.metadata.get("dtype"))
+        for f in _saved_fields(state_type)
+    })
 
 
 def jsonable_params(params: dict) -> dict:
@@ -376,32 +336,28 @@ def _check_state(model: TrainedModel) -> None:
     """Raises LearnError unless the state of a loaded model can score rows."""
     d = model.n_features
     state = model.state
-    if model.algorithm in ("dt", "rf", "ab"):
-        if model.algorithm != "dt" and not state.trees:
-            raise LearnError(f"{model.algorithm} model has no trees")
-        if model.algorithm == "ab" and len(state.alphas) != len(state.trees):
-            raise LearnError("boosting model has different numbers of alphas and trees")
-        return
-    if model.algorithm == "knn":
-        arrays = {"mean": (d,), "std": (d,), "X": (len(state.y), d), "y": (len(state.y),)}
-    elif model.algorithm == "nb":
-        arrays = {name: (d,) for name in (
-            "is_bernoulli", "p_fake", "p_human", "mean_fake", "mean_human",
-            "var_fake", "var_human")}
-    else:
-        arrays = {"mean": (d,), "std": (d,), "weights": (d + 1,)}
-    for name, shape in arrays.items():
-        array = getattr(state, name)
-        if array.shape != shape:
-            raise LearnError(f"model array {name!r} has shape {array.shape}, expected {shape}")
-        if name != "is_bernoulli" and array.dtype.kind not in "fiu":
-            raise LearnError(f"model array {name!r} holds values that are not numbers")
-    if model.algorithm in ("knn", "lr") and not np.all(state.std > 0):
-        raise LearnError("model array 'std' holds a value that is not positive")
-    if model.algorithm == "knn" and (type(state.k) is not int or not 1 <= state.k <= len(state.y)):
+    saved = [(f, getattr(state, f.name)) for f in _saved_fields(state)]
+    lists = {f.name: len(value) for f, value in saved if isinstance(value, list)}
+    if len(set(lists.values())) > 1:  # every list holds one entry per tree
         raise LearnError(
-            f"knn k must be an integer from 1 to {len(state.y)} (the stored rows), "
-            f"got {state.k!r}"
+            f"{model.algorithm} model has different numbers of {' and '.join(lists)}")
+    if 0 in lists.values():
+        raise LearnError(f"{model.algorithm} model has no trees")
+    rows = np.size(getattr(state, "y", ()))
+    shapes = {"X": (rows, d), "y": (rows,), "weights": (d + 1,)}  # others: one per feature
+    for f, array in saved:
+        if not isinstance(array, np.ndarray):
+            continue
+        shape = shapes.get(f.name, (d,))
+        if array.shape != shape:
+            raise LearnError(f"model array {f.name!r} has shape {array.shape}, expected {shape}")
+        if "dtype" not in f.metadata and array.dtype.kind not in "fiu":
+            raise LearnError(f"model array {f.name!r} holds values that are not numbers")
+        if f.name == "std" and not np.all(array > 0):
+            raise LearnError("model array 'std' holds a value that is not positive")
+    if model.algorithm == "knn" and (type(state.k) is not int or not 1 <= state.k <= rows):
+        raise LearnError(
+            f"knn k must be an integer from 1 to {rows} (the stored rows), got {state.k!r}"
         )
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,7 +49,8 @@ def knn_scores(state: KnnState, X: np.ndarray) -> np.ndarray:
 @dataclass
 class NaiveBayesState:
     prior_fake: float
-    is_bernoulli: np.ndarray  # per feature
+    # per feature; model.json saves it as 0/1 and reads it back as this dtype
+    is_bernoulli: np.ndarray = field(metadata={"dtype": bool})
     p_fake: np.ndarray  # Bernoulli P(x=1 | class)
     p_human: np.ndarray
     mean_fake: np.ndarray

@@ -429,7 +429,7 @@ def reduced_error_prune(
     tree: Tree,
     X: np.ndarray,
     y: np.ndarray,
-    folds: int,
+    folds: int = 3,
     seed: int = 0,
 ) -> Tree:
     """Collapse subtrees that do not help accuracy on a held-out slice.

@@ -9,12 +9,13 @@ differ between reruns.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 TOOL_VERSION = "0.1.0"
 
@@ -30,6 +31,26 @@ def write_json(path, payload, **options) -> Path:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, **options)
         fh.write("\n")
+    return path
+
+
+def write_csv(path, header: Sequence[str], rows: Sequence[Sequence[str]]) -> Path:
+    """The one CSV layout of every artifact: a header row, then one line per
+    row of strings, each ended by a bare line feed; creates the parent
+    directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        # csv quotes a cell holding the "\n" line terminator but not a lone
+        # "\r", which reads back as a line break: quote all of such a row
+        if any("\r" in "".join(row) for row in rows):
+            quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+            for row in rows:
+                (quoted if "\r" in "".join(row) else writer).writerow(row)
+        else:
+            writer.writerows(rows)
     return path
 
 

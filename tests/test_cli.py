@@ -1,5 +1,6 @@
 """CLI surface: exit codes, artifacts, manifests, reproducibility."""
 
+import csv
 import json
 import os
 import subprocess
@@ -9,10 +10,12 @@ from pathlib import Path
 import pytest
 
 import fakescope
-from fakescope.cli import main
-from fakescope.corpus import PRESETS, SynthConfig
+from fakescope.cli import MAX_FRACTIONS, _parse_fractions, cli, main
+from fakescope.corpus import PRESETS, SynthConfig, save_dataset
 from fakescope.manifest import load_manifest, verify_artifacts
 from fakescope.rules import context
+
+from conftest import make_account, make_dataset
 
 
 def run(argv):
@@ -284,6 +287,11 @@ class TestCheckedFlags:
              "give at least one fraction, each strictly between 0 and 1"),
             (["sweep", "--fractions", "1.5"], "--fractions '1.5'",
              "give at least one fraction, each strictly between 0 and 1"),
+            # 0.1 + 1e-300 == 0.1: a step that never moves the start
+            (["sweep", "--fractions", "0.1:0.9:1e-300"], "--fractions '0.1:0.9:1e-300'",
+             "the range names more than 1000 fractions"),
+            (["sweep", "--fractions", "0.1:0.9:1e-12"], "--fractions '0.1:0.9:1e-12'",
+             "the range names more than 1000 fractions"),
             (["sweep", "--k", "1"], "--k '1'", "must be at least 2"),
             (["ingest", "--reference-time", "bogus"], "--reference-time 'bogus'",
              "Invalid isoformat string: 'bogus'"),
@@ -304,6 +312,11 @@ class TestCheckedFlags:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {named}: {message}")
         assert not (tmp_path / "out").exists()
+
+    def test_the_default_fractions_and_the_largest_range(self):
+        (default,) = [p.default for p in cli.commands["sweep"].params if p.name == "fractions"]
+        assert _parse_fractions(default) == [round(0.05 * i, 2) for i in range(1, 20)]
+        assert len(_parse_fractions("0.0005:0.9995:0.001")) == MAX_FRACTIONS == 1000
 
     def test_a_year_below_1000_is_a_valid_reference_time(self, corpus_dir, tmp_path):
         assert run(["features", corpus_dir, "--class", "a", "--reference-time",
@@ -330,6 +343,20 @@ class TestTestFraction:
         err = capsys.readouterr().err
         assert "--test-fraction 0.01 of 60 accounts holds out 0 test accounts" in err
         assert not (out / "manifest.json").exists()
+
+
+def test_a_carriage_return_in_an_account_id_reads_back_as_one_row(tmp_path):
+    """A lone "\r" in a cell is quoted, so it does not read back as a line break."""
+    corpus = tmp_path / "corpus"
+    save_dataset(make_dataset([make_account("a\rb", "fake"), make_account("c", "human")]),
+                 corpus, fmt="json")
+    out = tmp_path / "out"
+    assert run(["features", corpus, "--class", "a", "--out", out]) == 0
+    assert run(["rules", corpus, "--ruleset", "sb", "--out", out]) == 0
+    for name in ("features.csv", "verdicts_sb.csv"):
+        with open(out / name, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [row[0] for row in rows] == ["a\rb", "c"], name
 
 
 def test_unknown_feature_set_is_a_data_error_naming_the_choices(corpus_dir, tmp_path, capsys):

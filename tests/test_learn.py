@@ -296,10 +296,14 @@ class TestModelValidation:
         with pytest.raises(LearnError, match="knn k must be an integer from 1 to 4"):
             model_from_json(json.dumps(payload))
 
-    def test_scalar_where_an_array_belongs(self):
-        payload = json.loads(model_to_json(train("lr", simple_matrix(), seed=0)))
-        payload["state"]["mean"] = 5
-        with pytest.raises(LearnError, match="'mean' has shape \\(\\), expected \\(1,\\)"):
+    @pytest.mark.parametrize(("algo", "name", "message"), [
+        ("lr", "mean", "'mean' has shape \\(\\), expected \\(1,\\)"),
+        ("knn", "y", "'X' has shape \\(4, 1\\), expected \\(1, 1\\)"),  # one row per label
+    ])
+    def test_scalar_where_an_array_belongs(self, algo, name, message):
+        payload = json.loads(model_to_json(train(algo, simple_matrix(), params={"k": 1})))
+        payload["state"][name] = 5
+        with pytest.raises(LearnError, match=message):
             model_from_json(json.dumps(payload))
 
     def test_lr_weights_not_numbers(self):
