@@ -61,7 +61,7 @@ def cross_validate_matrix(
     """K-fold CV over a pre-extracted matrix (stratified folds by label).
 
     Fold seeds derive from the master seed and fold index. All folds train
-    in one `train_many` call, so lr folds of one shape share one descent.
+    in one `train_many` call, so lr folds of one shape share one Newton loop.
     ``jobs`` is an upper bound on workers; one thread trains every fold,
     which meets any bound, because thread workers measured slower than
     none.

@@ -116,7 +116,7 @@ def train_many(
 ) -> list[TrainedModel]:
     """Train one model per matrix, the i-th with ``seeds[i]``.
 
-    lr fits every matrix in one lock-step descent (`lr_fit_many`); the
+    lr fits every matrix in one lock-step Newton loop (`lr_fit_many`); the
     other algorithms fit the matrices one by one. Each model equals what
     ``train`` returns for its matrix and seed alone.
     """

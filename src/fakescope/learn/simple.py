@@ -127,7 +127,15 @@ class LogisticState:
     mean: np.ndarray
     std: np.ndarray
     weights: np.ndarray  # [intercept, coefficients...]
-    iterations: int
+    iterations: int  # the pass whose gradient test stopped the fit, else max_iter
+
+
+# a Newton step that raises the loss is halved, at most this many times; a
+# step still rising after them is not taken
+MAX_HALVINGS = 30
+# added to the Hessian's diagonal, not to the loss: with ridge 0 it keeps the
+# Hessian of a constant column, or of saturated margins, invertible
+HESSIAN_FLOOR = 1e-12
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -135,20 +143,33 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
+def _losses(Z: np.ndarray, Y: np.ndarray, W: np.ndarray, ridge: float) -> np.ndarray:
+    """Mean log-loss plus ``ridge/2·‖w[1:]‖²`` of each stacked problem, from
+    its margins ``Z`` (F, n, 1), labels ``Y`` (F, n, 1) and weights ``W``
+    (F, d + 1, 1); every sum runs along one contiguous row, so it adds in
+    the order a lone problem's would."""
+    log_loss = np.log1p(np.exp(-np.abs(Z))) + np.maximum(Z, 0.0) - Y * Z
+    return log_loss[:, :, 0].sum(axis=1) / Z.shape[1] + ridge / 2 * (
+        W[:, 1:, 0] ** 2).sum(axis=1)
+
+
 def lr_fit_many(
     problems: Sequence[tuple[np.ndarray, np.ndarray]],
     ridge: float = 1e-3,
-    max_iter: int = 10_000,
+    max_iter: int = 100,
     tol: float = 1e-6,
 ) -> list[LogisticState]:
-    """Gradient descent on the ridge-penalized logistic loss of each (X, y).
+    """Damped Newton (IRLS) steps on the ridge-penalized logistic loss of
+    each (X, y): the mean log-loss plus ``ridge/2·‖w[1:]‖²``, so the
+    intercept is not penalized.
 
-    Each problem takes the fixed step 1/L, where L bounds its own loss
-    curvature; the intercept is not penalized. A problem stops at the
-    gradient-norm tolerance or the iteration cap. Problems of one shape
-    descend in lock-step: each batched product runs the BLAS call a lone
-    fit would make, once per problem (`np.einsum` would not), so every
-    state is bit-identical to fitting the problems one at a time.
+    Each step solves the penalized Hessian against the gradient and halves
+    the step until the loss does not rise. A problem stops at the
+    gradient-norm tolerance, tested before each step, or at the step cap.
+    Problems of one shape step in lock-step: each batched product and
+    solve runs the BLAS or LAPACK call a lone fit would make, once per
+    problem (`np.einsum` would not), so every state is bit-identical to
+    fitting the problems one at a time.
     """
     states: list[Optional[LogisticState]] = [None] * len(problems)
     groups: dict[tuple[int, ...], list[int]] = {}
@@ -161,21 +182,20 @@ def lr_fit_many(
             for i, (mean, std) in zip(members, moments)
         ])
         # labels, weights and gradients are stacks of columns, (F, n, 1) and
-        # (F, d + 1, 1), so every product is one matrix-vector call per problem
+        # (F, d + 1, 1), so every product is one matrix call per problem
         Ya = np.stack([problems[i][1] for i in members])[:, :, None]
-        steps = np.array([
-            1.0 / (0.25 * spectral * spectral / n + ridge)
-            for spectral in (float(np.linalg.norm(Xb, 2)) for Xb in Xa)
-        ])[:, None, None]
         penalty = np.full((d + 1, 1), ridge)
         penalty[0] = 0.0
+        curvature = np.diag(penalty[:, 0] + HESSIAN_FLOOR)
         W = np.zeros((len(members), d + 1, 1))
         XaT = Xa.transpose(0, 2, 1)
+        Z = np.matmul(Xa, W)
+        loss = _losses(Z, Ya, W, ridge)
         active = np.arange(len(members))
         weights = np.zeros_like(W)
         iterations = np.full(len(members), max_iter)
         for it in range(1, max_iter + 1):
-            P = _sigmoid(np.matmul(Xa, W))
+            P = _sigmoid(Z)
             G = np.matmul(XaT, P - Ya) / n + penalty * W
             squared = np.matmul(G.transpose(0, 2, 1), G).ravel()
             converged = [math.sqrt(v) < tol for v in squared.tolist()]
@@ -184,18 +204,43 @@ def lr_fit_many(
                 weights[active[done]] = W[done]
                 iterations[active[done]] = it
                 left = ~done
-                active, Xa, Ya, W, G, steps = (
-                    active[left], Xa[left], Ya[left], W[left], G[left], steps[left])
+                active, Xa, Ya, W, G, P, loss = (
+                    active[left], Xa[left], Ya[left], W[left], G[left], P[left], loss[left])
                 if not active.size:
                     break
                 XaT = Xa.transpose(0, 2, 1)
-            W -= steps * G
+            H = np.matmul(XaT, P * (1.0 - P) * Xa) / n + curvature
+            D = np.linalg.solve(H, G)
+            W, Z, loss = _line_search(Xa, Ya, W, D, loss, ridge)
         weights[active] = W
         for j, i in enumerate(members):
             mean, std = moments[j]
             states[i] = LogisticState(
                 mean=mean, std=std, weights=weights[j, :, 0], iterations=int(iterations[j]))
     return states
+
+
+def _line_search(Xa, Ya, W, D, loss, ridge):
+    """Each problem's step ``W - t·D`` at the first t of 1, 1/2, 1/4, ...
+    whose loss does not exceed ``loss``: its weights, margins and loss. A
+    problem whose step still raises the loss after ``MAX_HALVINGS``
+    halvings keeps its weights."""
+    trial = W - D
+    Z = np.matmul(Xa, trial)
+    trial_loss = _losses(Z, Ya, trial, ridge)
+    rising = np.flatnonzero(~(trial_loss <= loss))  # a NaN loss rises too
+    for halvings in range(1, MAX_HALVINGS + 1):
+        if not rising.size:
+            break
+        trial[rising] = W[rising] - 0.5 ** halvings * D[rising]
+        Z[rising] = np.matmul(Xa[rising], trial[rising])
+        trial_loss[rising] = _losses(Z[rising], Ya[rising], trial[rising], ridge)
+        rising = rising[~(trial_loss[rising] <= loss[rising])]
+    if rising.size:
+        trial[rising] = W[rising]
+        Z[rising] = np.matmul(Xa[rising], W[rising])
+        trial_loss[rising] = loss[rising]
+    return trial, Z, trial_loss
 
 
 def lr_scores(state: LogisticState, X: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from fakescope.learn import (
 )
 from fakescope.kernels import best_threshold_split, presort
 from fakescope.learn.ensembles import ab_fit, ab_scores, BoostState
-from fakescope.learn.simple import lr_fit_many
+from fakescope.learn.simple import HESSIAN_FLOOR, MAX_HALVINGS, lr_fit_many, lr_scores
 from fakescope.seeding import derive_seed, make_rng
 from fakescope.sensitivity import analyze_matrices
 
@@ -551,29 +551,43 @@ def test_routed_scores_match_a_walk_of_the_nested_form(case):
 
 
 def _oracle_lr_fit(X, y, ridge, max_iter, tol):
-    """One problem, one descent loop, as `lr_fit` ran before `lr_fit_many`
-    replaced it; the reference `lr_fit_many` must match bit for bit."""
+    """One problem, one Newton loop with the same line search; the
+    reference `lr_fit_many` must match bit for bit."""
     mean = X.mean(axis=0)
     std = X.std(axis=0)
     std = np.where(std > 0, std, 1.0)
     Xs = (X - mean) / std
     n = X.shape[0]
     Xb = np.hstack([np.ones((n, 1)), Xs])
-    spectral = float(np.linalg.norm(Xb, 2))
-    step = 1.0 / (0.25 * spectral * spectral / n + ridge)
     w = np.zeros(Xb.shape[1])
     penalty_mask = np.ones_like(w)
     penalty_mask[0] = 0.0
     penalty = ridge * penalty_mask
+
+    def loss(z, w):
+        log_loss = np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0) - y * z
+        return log_loss.sum() / n + ridge / 2 * (w[1:] ** 2).sum()
+
+    z = Xb @ w
+    current = loss(z, w)
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        z = Xb @ w
         e = np.exp(-np.abs(z))
         p = np.where(z >= 0, 1.0, e) / (1.0 + e)
         grad = Xb.T @ (p - y) / n + penalty * w
         if math.sqrt(grad.dot(grad)) < tol:
             break
-        w -= step * grad
+        hessian = Xb.T @ ((p * (1.0 - p))[:, None] * Xb) / n + np.diag(penalty + HESSIAN_FLOOR)
+        step = np.linalg.solve(hessian, grad)
+        for halvings in range(MAX_HALVINGS + 1):
+            trial = w - 0.5 ** halvings * step
+            trial_z = Xb @ trial
+            trial_loss = loss(trial_z, trial)
+            if trial_loss <= current:
+                break
+        else:  # every halving still rose: keep the weights
+            trial, trial_z, trial_loss = w, Xb @ w, current
+        w, z, current = trial, trial_z, trial_loss
     return mean, std, w, iterations
 
 
@@ -626,8 +640,8 @@ class TestLockStepLogistic:
         problems = [_lr_problem(rng, 40, 3, "noisy") for _ in range(4)]
         problems += [_lr_problem(rng, 25, 2, "constant"), _lr_problem(rng, 40, 3, "separable")]
         iterations = _assert_matches_oracle(problems, ridge=1e-3, max_iter=400, tol=1e-4)
-        assert len(set(iterations[:5])) == 5 and max(iterations[:5]) < 400
-        assert iterations[5] == 400  # separable: still descending at the cap
+        assert len(set(iterations)) > 1
+        assert iterations[5] < 400  # separable: the ridge bounds the weights Newton reaches
 
     @pytest.mark.parametrize("max_iter", [0, 1])
     def test_tiny_iteration_caps(self, max_iter):
@@ -639,6 +653,25 @@ class TestLockStepLogistic:
         X = np.array([[0.0], [1.0], [0.0], [1.0]])
         y = np.array([0.0, 0.0, 1.0, 1.0])
         assert _assert_matches_oracle([(X, y)], 1e-3, 10, 1e-6) == [1]
+
+    @pytest.mark.parametrize("ridge", [1e-3, 0.0])
+    def test_separable_with_a_constant_column(self, ridge):
+        X = np.column_stack([np.arange(20.0), np.full(20, 3.0)])
+        y = (X[:, 0] >= 10).astype(np.float64)
+        (state,) = lr_fit_many([(X, y)], ridge=ridge)
+        assert np.all(np.isfinite(state.weights)) and state.weights[2] == 0.0
+        assert state.iterations < 30
+        assert np.array_equal(lr_scores(state, X) >= 0.5, y == 1.0)
+
+    def test_steps_at_the_rounding_floor_keep_the_weights(self):
+        # tol 0 is never met: near the optimum every halving still rises
+        rng = make_rng(5)
+        problems = [_lr_problem(rng, 40, 3, kind) for kind in ("noisy", "constant", "separable")]
+        assert _assert_matches_oracle(problems, 1e-3, 60, 0.0) == [60] * 3
+
+    def test_golden_noisy_fit_converges_in_few_steps(self):
+        model = train("lr", _noisy_class_a_matrix(), seed=4)
+        assert model.state.iterations <= 20
 
     def test_train_many_equals_one_train_per_matrix(self):
         matrix = _noisy_class_a_matrix()
