@@ -422,9 +422,11 @@ def test_tree_models_are_byte_identical_to_golden():
         assert hashlib.sha256(text.encode()).hexdigest() == digest, algo
 
 
-# sha256 of lr outputs, recorded while each lr fit ran its own descent loop
+# sha256 of lr outputs: cv and sensitivity recorded while each lr fit ran its
+# own gradient descent, and unchanged by Newton steps; the model recorded
+# with Newton steps, whose weights differ from descent's in the last digits
 GOLDEN_LR = {
-    "model": "c716b2fa6d702173c63873b74bc34904380fcac55f4bde47fdc35de5503eca65",
+    "model": "a8b28035e128634e17238d1b553f894da1e58ac443c485d20d3a2323b60d3119",
     "cv": "1a84ea92786ba2a7f8de2f676ae9216712da06f6efa0699a44a092f3d11e1bab",
     "sensitivity": "4768b3f4b52f9ebba337ced9d6ba9e8a3123da5c863d7224776b548ab6fc07a7",
 }
