@@ -302,7 +302,10 @@ def _timeline(
     mention_rate = _beta_rate(rng, profile.mention_rate_mean, profile.mention_rate_conc)
     sources = [s for s, _ in profile.source_weights]
     weights = np.asarray([w for _, w in profile.source_weights], dtype=float)
-    weights = weights / weights.sum()
+    # the normalized CDF `rng.choice(len(sources), p=weights)` would search,
+    # built once: each draw is then one random() and one search, as in choice
+    cdf = np.cumsum(weights / weights.sum())
+    cdf /= cdf[-1]
 
     span = (reference_time - account.created_at).total_seconds()
     offsets = sorted(int(float(rng.random()) * span) for _ in range(n))
@@ -319,7 +322,7 @@ def _timeline(
 
     tweets = []
     for i in range(n):
-        source = sources[int(rng.choice(len(sources), p=weights))]
+        source = sources[int(cdf.searchsorted(rng.random(), side="right"))]
         if i in burst_at and burst_text is not None:
             text = burst_text
             n_hash, n_ment, n_url = 0, 1, 0
