@@ -36,13 +36,21 @@ def knn_fit(X: np.ndarray, y: np.ndarray, k: int = 5) -> KnnState:
     return KnnState(k=k, mean=mean, std=std, X=(X - mean) / std, y=y.copy())
 
 
+def nearest_rows(d2: np.ndarray, k: int) -> np.ndarray:
+    """The first k of ``np.argsort(d2, kind="stable")``, ties and NaNs
+    included, without sorting every distance: one partition finds the k-th
+    smallest, and one stable sort orders the rows at or below it."""
+    kth = np.partition(d2, k - 1)[k - 1]
+    candidates = np.flatnonzero(~(d2 > kth))  # a NaN kth keeps every row
+    return candidates[np.argsort(d2[candidates], kind="stable")[:k]]
+
+
 def knn_scores(state: KnnState, X: np.ndarray) -> np.ndarray:
     Xs = (X - state.mean) / state.std
     out = np.empty(X.shape[0])
     for i in range(X.shape[0]):
         d2 = np.sum((state.X - Xs[i]) ** 2, axis=1)
-        nearest = np.argsort(d2, kind="stable")[: state.k]
-        out[i] = float(state.y[nearest].mean())
+        out[i] = float(state.y[nearest_rows(d2, state.k)].mean())
     return out
 
 

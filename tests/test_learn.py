@@ -30,7 +30,15 @@ from fakescope.learn import (
 )
 from fakescope.kernels import best_threshold_split, presort
 from fakescope.learn.ensembles import ab_fit, ab_scores, BoostState
-from fakescope.learn.simple import HESSIAN_FLOOR, MAX_HALVINGS, lr_fit_many, lr_scores
+from fakescope.learn.simple import (
+    HESSIAN_FLOOR,
+    MAX_HALVINGS,
+    knn_fit,
+    knn_scores,
+    lr_fit_many,
+    lr_scores,
+    nearest_rows,
+)
 from fakescope.seeding import derive_seed, make_rng
 from fakescope.sensitivity import analyze_matrices
 
@@ -690,3 +698,49 @@ class TestLockStepLogistic:
     def test_train_many_needs_one_seed_per_matrix(self):
         with pytest.raises(LearnError, match="2 matrices but 1 seeds"):
             train_many("lr", [simple_matrix(), simple_matrix()], None, [0])
+
+
+@st.composite
+def distance_rows(draw):
+    """Distances with heavy ties (a few distinct values), sometimes NaN or
+    infinite, and a k from 1 to their count."""
+    n = draw(st.integers(1, 40))
+    values = draw(st.lists(
+        st.sampled_from([0.0, 0.5, 1.0, 2.0, np.inf, np.nan]) | st.floats(0.0, 4.0),
+        min_size=n, max_size=n))
+    return np.array(values), draw(st.integers(1, n))
+
+
+@st.composite
+def knn_problems(draw):
+    """Training and test rows on a coarse grid, so many distances tie, with
+    some columns constant, and a k from 1 to the training rows."""
+    n, m, d = draw(st.integers(1, 30)), draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.integers(0, 3, size=(n, d)).astype(np.float64)
+    T = rng.integers(0, 3, size=(m, d)).astype(np.float64)
+    for j in draw(st.sets(st.integers(0, d - 1))):
+        X[:, j] = T[:, j] = 2.0
+    y = rng.integers(0, 2, size=n).astype(np.float64)
+    return X, y, T, draw(st.integers(1, n))
+
+
+class TestKnnSelection:
+    @settings(max_examples=300, deadline=None)
+    @given(distance_rows())
+    def test_nearest_rows_are_the_head_of_the_stable_argsort(self, case):
+        d2, k = case
+        assert nearest_rows(d2, k).tolist() == np.argsort(d2, kind="stable")[:k].tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(knn_problems())
+    def test_scores_equal_a_full_stable_argsort(self, case):
+        X, y, T, k = case
+        state = knn_fit(X, y, k=k)
+        Ts = (T - state.mean) / state.std
+        expected = [
+            float(state.y[np.argsort(np.sum((state.X - row) ** 2, axis=1), kind="stable")[:k]]
+                  .mean())
+            for row in Ts
+        ]
+        assert knn_scores(state, T).tolist() == expected
