@@ -359,6 +359,16 @@ def _check_state(model: TrainedModel) -> None:
         raise LearnError(
             f"knn k must be an integer from 1 to {rows} (the stored rows), got {state.k!r}"
         )
+    declared = get_type_hints(type(state))
+    for f, value in saved:
+        kind, values = declared[f.name], [value]
+        if get_origin(kind) is list:
+            (kind,), values = get_args(kind), value
+        # bool is an int subclass, and JSON true/false are not counts or weights
+        numbers = (int,) if kind is int else (int, float) if kind is float else None
+        if numbers and not all(type(v) in numbers for v in values):
+            what = "an integer" if kind is int else "a number"
+            raise LearnError(f"model field {f.name!r} holds a value that is not {what}")
 
 
 def model_from_json(text: str) -> TrainedModel:

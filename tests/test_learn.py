@@ -327,6 +327,20 @@ class TestModelValidation:
         with pytest.raises(LearnError, match="'std' holds a value that is not positive"):
             model_from_json(json.dumps(payload))
 
+    @pytest.mark.parametrize(("algo", "name", "value", "message"), [
+        ("nb", "prior_fake", "x", "'prior_fake' holds a value that is not a number"),
+        ("nb", "prior_fake", True, "'prior_fake' holds a value that is not a number"),
+        ("ab", "alphas", "a", "'alphas' holds a value that is not a number"),
+        ("rf", "mtry", 1.5, "'mtry' holds a value that is not an integer"),
+        ("lr", "iterations", "8", "'iterations' holds a value that is not an integer"),
+    ])
+    def test_scalar_not_a_number(self, algo, name, value, message):
+        payload = json.loads(model_to_json(train(algo, simple_matrix(), seed=0)))
+        state = payload["state"]
+        state[name] = [value] * len(state[name]) if isinstance(state[name], list) else value
+        with pytest.raises(LearnError, match=message):
+            model_from_json(json.dumps(payload))
+
     def test_forest_without_trees(self):
         payload = json.loads(model_to_json(train("rf", simple_matrix(), seed=0)))
         payload["state"]["trees"] = []
