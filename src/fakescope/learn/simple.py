@@ -228,7 +228,14 @@ def lr_fit_many(
     return states
 
 
-def _line_search(Xa, Ya, W, D, loss, ridge):
+def _line_search(
+    Xa: np.ndarray,
+    Ya: np.ndarray,
+    W: np.ndarray,
+    D: np.ndarray,
+    loss: np.ndarray,
+    ridge: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each problem's step ``W - t·D`` at the first t of 1, 1/2, 1/4, ...
     whose loss does not exceed ``loss``: its weights, margins and loss. A
     problem whose step still raises the loss after ``MAX_HALVINGS``
