@@ -576,7 +576,8 @@ def test_routed_scores_match_a_walk_of_the_nested_form(case):
 
 def _oracle_lr_fit(X, y, ridge, max_iter, tol):
     """One problem, one Newton loop with the same line search; the
-    reference `lr_fit_many` must match bit for bit."""
+    reference `lr_fit_many` must match bit for bit. Also returns how many
+    steps the line search halved at least once."""
     mean = X.mean(axis=0)
     std = X.std(axis=0)
     std = np.where(std > 0, std, 1.0)
@@ -594,7 +595,7 @@ def _oracle_lr_fit(X, y, ridge, max_iter, tol):
 
     z = Xb @ w
     current = loss(z, w)
-    iterations = 0
+    iterations = halved = 0
     for iterations in range(1, max_iter + 1):
         e = np.exp(-np.abs(z))
         p = np.where(z >= 0, 1.0, e) / (1.0 + e)
@@ -611,8 +612,9 @@ def _oracle_lr_fit(X, y, ridge, max_iter, tol):
                 break
         else:  # every halving still rose: keep the weights
             trial, trial_z, trial_loss = w, Xb @ w, current
+        halved += halvings > 0
         w, z, current = trial, trial_z, trial_loss
-    return mean, std, w, iterations
+    return mean, std, w, iterations, halved
 
 
 def _lr_problem(rng, n, d, kind):
@@ -630,7 +632,7 @@ def _assert_matches_oracle(problems, ridge, max_iter, tol):
     states = lr_fit_many(problems, ridge=ridge, max_iter=max_iter, tol=tol)
     assert len(states) == len(problems)
     for (X, y), state in zip(problems, states):
-        mean, std, w, iterations = _oracle_lr_fit(X, y, ridge, max_iter, tol)
+        mean, std, w, iterations, _ = _oracle_lr_fit(X, y, ridge, max_iter, tol)
         assert state.iterations == iterations
         assert state.weights.tobytes() == w.tobytes()
         assert state.mean.tobytes() == mean.tobytes()
@@ -664,7 +666,7 @@ class TestLockStepLogistic:
         problems = [_lr_problem(rng, 40, 3, "noisy") for _ in range(4)]
         problems += [_lr_problem(rng, 25, 2, "constant"), _lr_problem(rng, 40, 3, "separable")]
         iterations = _assert_matches_oracle(problems, ridge=1e-3, max_iter=400, tol=1e-4)
-        assert len(set(iterations)) > 1
+        assert len(set(iterations[:5])) > 1 and max(iterations[:5]) < 400
         assert iterations[5] < 400  # separable: the ridge bounds the weights Newton reaches
 
     @pytest.mark.parametrize("max_iter", [0, 1])
@@ -686,6 +688,18 @@ class TestLockStepLogistic:
         assert np.all(np.isfinite(state.weights)) and state.weights[2] == 0.0
         assert state.iterations < 30
         assert np.array_equal(lr_scores(state, X) >= 0.5, y == 1.0)
+
+    def test_a_rising_step_is_halved_mid_fit(self):
+        # ridge 0 and skewed columns: the full Newton step at pass 5 raises
+        # the loss, long before the fit converges at pass 17
+        X = np.array([[0.79, 56.59, 0.82], [0.26, 0.03, 0.38], [0.09, 0.28, 0.22],
+                      [1.38, 0.0, 0.32], [0.02, 0.73, 6.8], [8.58, 0.0, 0.2],
+                      [3.1, 0.03, 0.01], [0.0, 17.05, 1.4], [6.23, 0.06, 1.24]])
+        y = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0])
+        *_, iterations, halved = _oracle_lr_fit(X, y, 0.0, 100, 1e-6)
+        assert halved > 0 and iterations < 100
+        noisy = _lr_problem(make_rng(8), 9, 3, "noisy")
+        assert _assert_matches_oracle([noisy, (X, y), noisy], 0.0, 100, 1e-6)[1] == iterations
 
     def test_steps_at_the_rounding_floor_keep_the_weights(self):
         # tol 0 is never met: near the optimum every halving still rises
