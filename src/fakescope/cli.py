@@ -32,7 +32,7 @@ from .corpus import (
 from .corpus.io import parse_timestamp
 from .features.catalog import catalog as feature_catalog
 from .features.catalog import feature_set
-from .features.extract import extract
+from .features.extract import extract, without_unread_tables
 from .learn.cv import class_distribution_sweep, cross_validate
 from .learn.model import ALGORITHMS, jsonable_params, model_to_json, train as train_model
 from .learn.tree import LearnError
@@ -484,7 +484,8 @@ def sensitivity(train_src, test_src, test_fraction, algos, feature_selector, see
         train_set = load_dataset(train_src, fmt=fmt, reference_time=reference_time)
         test_set = load_dataset(test_src, fmt=fmt, reference_time=reference_time)
     else:
-        full = load_dataset(train_src, fmt=fmt, reference_time=reference_time)
+        full = without_unread_tables(
+            load_dataset(train_src, fmt=fmt, reference_time=reference_time), specs)
         counts = full.class_counts()
         test_size = int(len(full) * test_fraction)
         if test_size == 0:

@@ -146,6 +146,19 @@ _EXTRACTORS: dict[str, tuple[str, Callable[[AccountContext], float]]] = {
 }
 
 
+def without_unread_tables(dataset: LabeledDataset, specs: Sequence[FeatureSpec]) -> LabeledDataset:
+    """``dataset`` without the tweets when no feature of ``specs`` reads the
+    timeline, and without the graph when none reads the graph, so that
+    sampling it does not rebuild them; the dataset itself when every table
+    is read."""
+    read = {_EXTRACTORS[spec.name][0] for spec in specs}
+    if "timeline" not in read and dataset.tweets is not None:
+        dataset = dataset.without_tweets()
+    if "graph" not in read and dataset.graph is not None:
+        dataset = dataset.without_graph()
+    return dataset
+
+
 @dataclass
 class FeatureMatrix:
     specs: tuple[FeatureSpec, ...]
@@ -176,7 +189,7 @@ class FeatureMatrix:
         return FeatureMatrix(
             specs=self.specs,
             account_ids=tuple(self.account_ids[i] for i in idx),
-            values=self.values[idx, :].copy(),
+            values=self.values[idx, :],  # a new C-order array
             labels=tuple(self.labels[i] for i in idx),
             provenance=dict(self.provenance),
         )
@@ -188,7 +201,8 @@ class FeatureMatrix:
         return FeatureMatrix(
             specs=tuple(self.specs[i] for i in keep),
             account_ids=self.account_ids,
-            values=self.values[:, keep].copy(),
+            # `[:, keep]` would be a transposed buffer; take copies once, in C order
+            values=self.values.take(keep, axis=1),
             labels=self.labels,
             provenance=dict(self.provenance),
         )

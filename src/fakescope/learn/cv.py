@@ -10,11 +10,10 @@ import numpy as np
 from ..corpus.model import LabeledDataset
 from ..corpus.sampling import rebalance, split_folds
 from ..features.catalog import FeatureSpec
-from ..features.extract import FeatureMatrix, extract
+from ..features.extract import FeatureMatrix, extract, without_unread_tables
 from ..metrics import ConfusionMatrix, MetricsReport, RocResult, roc_auc, summarize
 from ..seeding import derive_seed
-# perfbench/tracing.py times the learn.fit_s.* layer by wrapping this module's `train`
-from .model import jsonable_params, predict_many, train, train_many  # noqa: F401
+from .model import jsonable_params, predict_many, train
 from .tree import FAKE_CUT, LearnError
 
 
@@ -60,27 +59,27 @@ def cross_validate_matrix(
 ) -> CvReport:
     """K-fold CV over a pre-extracted matrix (stratified folds by label).
 
-    Fold seeds derive from the master seed and fold index. All folds train
-    in one `train_many` call, so lr folds of one shape share one Newton loop.
-    ``jobs`` is an upper bound on workers; one thread trains every fold,
-    which meets any bound, because thread workers measured slower than
-    none.
+    Each fold trains through `train`, then scores its test rows, before
+    the next fold's training matrix is built; fold seeds derive from the
+    master seed and fold index. ``jobs`` is an upper bound on workers; one
+    thread trains every fold, which meets any bound, because thread
+    workers measured slower than none.
     """
     plan = split_folds(dataset, k, seed)
     row_of = {uid: i for i, uid in enumerate(matrix.account_ids)}
     y = matrix.y01()
 
-    folds = [plan.train_test(i) for i in range(plan.k)]
-    models = train_many(
-        algorithm,
-        [matrix.take_rows([row_of[uid] for uid in train_ids]) for train_ids, _ in folds],
-        params=params,
-        seeds=[derive_seed(seed, 11, i) for i in range(plan.k)],
-    )
     fold_cms: list[ConfusionMatrix] = []
     pooled_scores: list[float] = []
     pooled_labels: list[float] = []
-    for model, (_, test_ids) in zip(models, folds):
+    for i in range(plan.k):
+        train_ids, test_ids = plan.train_test(i)
+        model = train(
+            algorithm,
+            matrix.take_rows([row_of[uid] for uid in train_ids]),
+            params=params,
+            seed=derive_seed(seed, 11, i),
+        )
         test_rows = [row_of[uid] for uid in test_ids]
         _, scores = predict_many(model, matrix.values[test_rows])
         y_test = y[test_rows]
@@ -142,9 +141,12 @@ def class_distribution_sweep(
     specs: Sequence[FeatureSpec],
     params: Optional[dict] = None,
 ) -> SweepReport:
-    """Cross-validate at each human/fake mixture and mark the best fraction."""
+    """Cross-validate at each human/fake mixture and mark the best fraction.
+
+    The tables no spec reads are dropped once, before any mixture is sampled."""
     if not fractions:
         raise LearnError("empty fraction list")
+    dataset = without_unread_tables(dataset, specs)
     entries: list[SweepEntry] = []
     for i, fraction in enumerate(fractions):
         sampled = rebalance(

@@ -17,7 +17,7 @@ from .simple import (
     NaiveBayesState,
     knn_fit,
     knn_scores,
-    lr_fit_many,
+    lr_fit,
     lr_scores,
     nb_fit,
     nb_scores,
@@ -36,7 +36,7 @@ from .tree import (
 ALGORITHMS = ("dt", "rf", "ab", "knn", "nb", "lr")
 
 # The params keys each algorithm's fit takes; each default lives in the fit's
-# signature (grow_tree, rf_fit, ab_fit, knn_fit, lr_fit_many). dt also takes
+# signature (grow_tree, rf_fit, ab_fit, knn_fit, lr_fit). dt also takes
 # "prune", applied after the fit. Keys an algorithm does not take are ignored.
 FIT_PARAMS = {
     "dt": ("min_leaf", "max_depth"),
@@ -94,7 +94,6 @@ def _check_matrix(matrix: FeatureMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _fit_state(algorithm: str, matrix: FeatureMatrix, fit_params: dict, seed: int):
-    """One classifier's state, for every algorithm but lr."""
     X, y = _check_matrix(matrix)
     if algorithm == "dt":
         return TreeState(root=grow_tree(X, y, **fit_params), X=X, y=y)
@@ -104,51 +103,10 @@ def _fit_state(algorithm: str, matrix: FeatureMatrix, fit_params: dict, seed: in
         return ab_fit(X, y, **fit_params)
     if algorithm == "knn":
         return knn_fit(X, y, **fit_params)
+    if algorithm == "lr":
+        return lr_fit(X, y, **fit_params)
     boolean_mask = np.asarray([s.kind == BOOLEAN for s in matrix.specs])
     return nb_fit(X, y, boolean_mask=boolean_mask)
-
-
-def train_many(
-    algorithm: str,
-    matrices: Sequence[FeatureMatrix],
-    params: Optional[dict],
-    seeds: Sequence[int],
-) -> list[TrainedModel]:
-    """Train one model per matrix, the i-th with ``seeds[i]``.
-
-    lr fits every matrix in one lock-step Newton loop (`lr_fit_many`); the
-    other algorithms fit the matrices one by one. Each model equals what
-    ``train`` returns for its matrix and seed alone.
-    """
-    algorithm = algorithm.lower()
-    if algorithm not in ALGORITHMS:
-        raise LearnError(f"unknown algorithm {algorithm!r}")
-    if len(seeds) != len(matrices):
-        raise LearnError(f"{len(matrices)} matrices but {len(seeds)} seeds")
-    params = dict(params or {})
-    fit_params = {name: params[name] for name in FIT_PARAMS[algorithm] if name in params}
-    if algorithm == "lr":
-        states = lr_fit_many([_check_matrix(matrix) for matrix in matrices], **fit_params)
-    else:
-        states = [
-            _fit_state(algorithm, matrix, fit_params, seed)
-            for matrix, seed in zip(matrices, seeds)
-        ]
-    models = [
-        TrainedModel(
-            algorithm=algorithm,
-            params=dict(params),
-            feature_names=matrix.feature_names,
-            feature_kinds=tuple(s.kind for s in matrix.specs),
-            seed=seed,
-            state=state,
-        )
-        for matrix, seed, state in zip(matrices, seeds, states)
-    ]
-    prune_spec = params.get("prune") if algorithm == "dt" else None
-    if prune_spec is not None:
-        models = [prune(model, prune_spec, seed=model.seed) for model in models]
-    return models
 
 
 def train(
@@ -157,7 +115,23 @@ def train(
     params: Optional[dict] = None,
     seed: int = 0,
 ) -> TrainedModel:
-    return train_many(algorithm, [matrix], params, [seed])[0]
+    algorithm = algorithm.lower()
+    if algorithm not in ALGORITHMS:
+        raise LearnError(f"unknown algorithm {algorithm!r}")
+    params = dict(params or {})
+    fit_params = {name: params[name] for name in FIT_PARAMS[algorithm] if name in params}
+    model = TrainedModel(
+        algorithm=algorithm,
+        params=params,
+        feature_names=matrix.feature_names,
+        feature_kinds=tuple(s.kind for s in matrix.specs),
+        seed=seed,
+        state=_fit_state(algorithm, matrix, fit_params, seed),
+    )
+    prune_spec = params.get("prune") if algorithm == "dt" else None
+    if prune_spec is not None:
+        model = prune(model, prune_spec, seed=seed)
+    return model
 
 
 def unused_columns(model: TrainedModel) -> frozenset:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -151,111 +150,52 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def _losses(Z: np.ndarray, Y: np.ndarray, W: np.ndarray, ridge: float) -> np.ndarray:
-    """Mean log-loss plus ``ridge/2·‖w[1:]‖²`` of each stacked problem, from
-    its margins ``Z`` (F, n, 1), labels ``Y`` (F, n, 1) and weights ``W``
-    (F, d + 1, 1); every sum runs along one contiguous row, so it adds in
-    the order a lone problem's would."""
-    log_loss = np.log1p(np.exp(-np.abs(Z))) + np.maximum(Z, 0.0) - Y * Z
-    return log_loss[:, :, 0].sum(axis=1) / Z.shape[1] + ridge / 2 * (
-        W[:, 1:, 0] ** 2).sum(axis=1)
-
-
-def lr_fit_many(
-    problems: Sequence[tuple[np.ndarray, np.ndarray]],
+def lr_fit(
+    X: np.ndarray,
+    y: np.ndarray,
     ridge: float = 1e-3,
     max_iter: int = 100,
     tol: float = 1e-6,
-) -> list[LogisticState]:
-    """Damped Newton (IRLS) steps on the ridge-penalized logistic loss of
-    each (X, y): the mean log-loss plus ``ridge/2·‖w[1:]‖²``, so the
-    intercept is not penalized.
+) -> LogisticState:
+    """Damped Newton (IRLS) steps on the ridge-penalized logistic loss: the
+    mean log-loss plus ``ridge/2·‖w[1:]‖²``, so the intercept is not
+    penalized.
 
     Each step solves the penalized Hessian against the gradient and halves
-    the step until the loss does not rise. A problem stops at the
+    the step until the loss does not rise; a step still rising after
+    ``MAX_HALVINGS`` halvings is not taken. The fit stops at the
     gradient-norm tolerance, tested before each step, or at the step cap.
-    Problems of one shape step in lock-step: each batched product and
-    solve runs the BLAS or LAPACK call a lone fit would make, once per
-    problem (`np.einsum` would not), so every state is bit-identical to
-    fitting the problems one at a time.
     """
-    states: list[Optional[LogisticState]] = [None] * len(problems)
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, (X, _) in enumerate(problems):
-        groups.setdefault(X.shape, []).append(i)
-    for (n, d), members in groups.items():
-        moments = [standardize_fit(problems[i][0]) for i in members]
-        Xa = np.stack([
-            np.hstack([np.ones((n, 1)), (problems[i][0] - mean) / std])
-            for i, (mean, std) in zip(members, moments)
-        ])
-        # labels, weights and gradients are stacks of columns, (F, n, 1) and
-        # (F, d + 1, 1), so every product is one matrix call per problem
-        Ya = np.stack([problems[i][1] for i in members])[:, :, None]
-        penalty = np.full((d + 1, 1), ridge)
-        penalty[0] = 0.0
-        curvature = np.diag(penalty[:, 0] + HESSIAN_FLOOR)
-        W = np.zeros((len(members), d + 1, 1))
-        XaT = Xa.transpose(0, 2, 1)
-        Z = np.matmul(Xa, W)
-        loss = _losses(Z, Ya, W, ridge)
-        active = np.arange(len(members))
-        weights = np.zeros_like(W)
-        iterations = np.full(len(members), max_iter)
-        for it in range(1, max_iter + 1):
-            P = _sigmoid(Z)
-            G = np.matmul(XaT, P - Ya) / n + penalty * W
-            squared = np.matmul(G.transpose(0, 2, 1), G).ravel()
-            converged = [math.sqrt(v) < tol for v in squared.tolist()]
-            if any(converged):
-                done = np.array(converged)
-                weights[active[done]] = W[done]
-                iterations[active[done]] = it
-                left = ~done
-                active, Xa, Ya, W, G, P, loss = (
-                    active[left], Xa[left], Ya[left], W[left], G[left], P[left], loss[left])
-                if not active.size:
-                    break
-                XaT = Xa.transpose(0, 2, 1)
-            H = np.matmul(XaT, P * (1.0 - P) * Xa) / n + curvature
-            D = np.linalg.solve(H, G)
-            W, Z, loss = _line_search(Xa, Ya, W, D, loss, ridge)
-        weights[active] = W
-        for j, i in enumerate(members):
-            mean, std = moments[j]
-            states[i] = LogisticState(
-                mean=mean, std=std, weights=weights[j, :, 0], iterations=int(iterations[j]))
-    return states
+    mean, std = standardize_fit(X)
+    n = X.shape[0]
+    Xb = np.hstack([np.ones((n, 1)), (X - mean) / std])
+    w = np.zeros(Xb.shape[1])
+    penalty = np.full_like(w, ridge)
+    penalty[0] = 0.0
+    curvature = np.diag(penalty + HESSIAN_FLOOR)
 
+    def loss(z: np.ndarray, w: np.ndarray) -> float:
+        log_loss = np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0) - y * z
+        return log_loss.sum() / n + ridge / 2 * (w[1:] ** 2).sum()
 
-def _line_search(
-    Xa: np.ndarray,
-    Ya: np.ndarray,
-    W: np.ndarray,
-    D: np.ndarray,
-    loss: np.ndarray,
-    ridge: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each problem's step ``W - t·D`` at the first t of 1, 1/2, 1/4, ...
-    whose loss does not exceed ``loss``: its weights, margins and loss. A
-    problem whose step still raises the loss after ``MAX_HALVINGS``
-    halvings keeps its weights."""
-    trial = W - D
-    Z = np.matmul(Xa, trial)
-    trial_loss = _losses(Z, Ya, trial, ridge)
-    rising = np.flatnonzero(~(trial_loss <= loss))  # a NaN loss rises too
-    for halvings in range(1, MAX_HALVINGS + 1):
-        if not rising.size:
+    z = Xb @ w
+    current = loss(z, w)
+    iterations = max_iter
+    for it in range(1, max_iter + 1):
+        p = _sigmoid(z)
+        grad = Xb.T @ (p - y) / n + penalty * w
+        if math.sqrt(grad.dot(grad)) < tol:
+            iterations = it
             break
-        trial[rising] = W[rising] - 0.5 ** halvings * D[rising]
-        Z[rising] = np.matmul(Xa[rising], trial[rising])
-        trial_loss[rising] = _losses(Z[rising], Ya[rising], trial[rising], ridge)
-        rising = rising[~(trial_loss[rising] <= loss[rising])]
-    if rising.size:
-        trial[rising] = W[rising]
-        Z[rising] = np.matmul(Xa[rising], W[rising])
-        trial_loss[rising] = loss[rising]
-    return trial, Z, trial_loss
+        step = np.linalg.solve(Xb.T @ ((p * (1.0 - p))[:, None] * Xb) / n + curvature, grad)
+        for halvings in range(MAX_HALVINGS + 1):
+            trial = w - 0.5 ** halvings * step
+            trial_z = Xb @ trial
+            trial_loss = loss(trial_z, trial)
+            if trial_loss <= current:  # a NaN loss rises
+                w, z, current = trial, trial_z, trial_loss
+                break
+    return LogisticState(mean=mean, std=std, weights=w, iterations=iterations)
 
 
 def lr_scores(state: LogisticState, X: np.ndarray) -> np.ndarray:

@@ -21,14 +21,7 @@ import numpy as np
 from .corpus.model import LabeledDataset
 from .features.catalog import CLASS_A_SPECS, FeatureSpec
 from .features.extract import FeatureMatrix, extract
-from .learn.model import (
-    ALGORITHMS,
-    TrainedModel,
-    predict_many,
-    train,
-    train_many,
-    unused_columns,
-)
+from .learn.model import ALGORITHMS, TrainedModel, predict_many, train, unused_columns
 from .learn.tree import FAKE_CUT
 from .metrics import ConfusionMatrix, mcc
 from .seeding import derive_seed
@@ -118,9 +111,9 @@ def analyze_matrices(
     """The full leave-one-out grid over pre-extracted train/test matrices.
 
     Each fit's seed derives from the master seed, the algorithm and the
-    dropped feature. A classifier's full fit runs alone, because its MCC
-    decides whether the classifier is excluded; its leave-one-out cells
-    then train in one `train_many` call.
+    dropped feature. A classifier's full fit runs first, because its MCC
+    decides whether the classifier is excluded; then each leave-one-out
+    cell trains through `train` and is scored before the next.
 
     A cell is not fitted when the full model provably equals its refit
     (`unused_columns`): a dt without pruning, or an ab that ran all its
@@ -175,20 +168,16 @@ def analyze_matrices(
             continue
         full_mcc[algorithm] = full
         unused = unused_columns(full_model)
-        fitted = [f for j, f in enumerate(features) if j not in unused]
-        models = dict(zip(fitted, train_many(
-            algorithm,
-            [train_matrix.drop_feature(feature) for feature in fitted],
-            params=params.get(algorithm),
-            seeds=[derive_seed(seed, 31, algo_id, features.index(f) + 1) for f in fitted],
-        )))
-        for feature in features:
-            if feature in models:
-                score, predicted = _test_mcc(
-                    models[feature], test_matrix.drop_feature(feature), y_test)
-                changed = int(np.sum(predicted != full_pred))
-            else:  # the refit is the full model: same predictions
+        for j, feature in enumerate(features):
+            if j in unused:  # the refit is the full model: same predictions
                 score, changed = full, 0
+            else:
+                model = train(
+                    algorithm, train_matrix.drop_feature(feature), params=params.get(algorithm),
+                    seed=derive_seed(seed, 31, algo_id, j + 1),
+                )
+                score, predicted = _test_mcc(model, test_matrix.drop_feature(feature), y_test)
+                changed = int(np.sum(predicted != full_pred))
             cells.append(
                 SensitivityCell(
                     algorithm=algorithm,

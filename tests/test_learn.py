@@ -26,7 +26,6 @@ from fakescope.learn import (
     predict_scores,
     prune,
     train,
-    train_many,
 )
 from fakescope.kernels import best_threshold_split, presort
 from fakescope.learn.ensembles import ab_fit, ab_scores, BoostState
@@ -35,7 +34,7 @@ from fakescope.learn.simple import (
     MAX_HALVINGS,
     knn_fit,
     knn_scores,
-    lr_fit_many,
+    lr_fit,
     lr_scores,
     nearest_rows,
 )
@@ -576,7 +575,7 @@ def test_routed_scores_match_a_walk_of_the_nested_form(case):
 
 def _oracle_lr_fit(X, y, ridge, max_iter, tol):
     """One problem, one Newton loop with the same line search; the
-    reference `lr_fit_many` must match bit for bit. Also returns how many
+    reference `lr_fit` must match bit for bit. Also returns how many
     steps the line search halved at least once."""
     mean = X.mean(axis=0)
     std = X.std(axis=0)
@@ -629,8 +628,7 @@ def _lr_problem(rng, n, d, kind):
 
 
 def _assert_matches_oracle(problems, ridge, max_iter, tol):
-    states = lr_fit_many(problems, ridge=ridge, max_iter=max_iter, tol=tol)
-    assert len(states) == len(problems)
+    states = [lr_fit(X, y, ridge=ridge, max_iter=max_iter, tol=tol) for X, y in problems]
     for (X, y), state in zip(problems, states):
         mean, std, w, iterations, _ = _oracle_lr_fit(X, y, ridge, max_iter, tol)
         assert state.iterations == iterations
@@ -684,7 +682,7 @@ class TestLockStepLogistic:
     def test_separable_with_a_constant_column(self, ridge):
         X = np.column_stack([np.arange(20.0), np.full(20, 3.0)])
         y = (X[:, 0] >= 10).astype(np.float64)
-        (state,) = lr_fit_many([(X, y)], ridge=ridge)
+        state = lr_fit(X, y, ridge=ridge)
         assert np.all(np.isfinite(state.weights)) and state.weights[2] == 0.0
         assert state.iterations < 30
         assert np.array_equal(lr_scores(state, X) >= 0.5, y == 1.0)
@@ -710,22 +708,6 @@ class TestLockStepLogistic:
     def test_golden_noisy_fit_converges_in_few_steps(self):
         model = train("lr", _noisy_class_a_matrix(), seed=4)
         assert model.state.iterations <= 20
-
-    def test_train_many_equals_one_train_per_matrix(self):
-        matrix = _noisy_class_a_matrix()
-        matrices = [matrix.take_rows(range(i, matrix.n_rows, 3)) for i in range(3)]
-        matrices.append(matrix.drop_feature(matrix.feature_names[0]))
-        cases = [("lr", None), ("rf", {"n_trees": 4}), ("knn", None),
-                 ("dt", {"prune": "subtree_raising"})]
-        for algo, params in cases:
-            models = train_many(algo, matrices, params=params, seeds=[1, 2, 3, 4])
-            for matrix_i, seed, model in zip(matrices, [1, 2, 3, 4], models):
-                alone = train(algo, matrix_i, params=params, seed=seed)
-                assert model_to_json(model) == model_to_json(alone), algo
-
-    def test_train_many_needs_one_seed_per_matrix(self):
-        with pytest.raises(LearnError, match="2 matrices but 1 seeds"):
-            train_many("lr", [simple_matrix(), simple_matrix()], None, [0])
 
 
 @st.composite

@@ -166,15 +166,15 @@ class TestSkippedCells:
 
     @pytest.fixture
     def fitted(self, monkeypatch):
-        """The feature names of every matrix each `train_many` call fits."""
+        """The feature names of every matrix `train` fits, the full fit first."""
         calls = []
-        train_many = sensitivity.train_many
+        train = sensitivity.train
 
-        def counting(algorithm, matrices, **kwargs):
-            calls.append([matrix.feature_names for matrix in matrices])
-            return train_many(algorithm, matrices, **kwargs)
+        def counting(algorithm, matrix, **kwargs):
+            calls.append(matrix.feature_names)
+            return train(algorithm, matrix, **kwargs)
 
-        monkeypatch.setattr(sensitivity, "train_many", counting)
+        monkeypatch.setattr(sensitivity, "train", counting)
         return calls
 
     @pytest.mark.parametrize(("algorithm", "params"), [
@@ -210,14 +210,17 @@ class TestSkippedCells:
         train_matrix = noise_corpus(1, 400, prefix="tr")
         report = analyze_matrices(train_matrix, noise_corpus(2, 240, prefix="te"),
                                   algorithms=(algorithm,), seed=5, params={algorithm: params})
-        assert [len(names) for names in fitted] == [len(train_matrix.feature_names)]
+        features = train_matrix.feature_names
+        assert fitted == [features, *(train_matrix.drop_feature(f).feature_names
+                                      for f in features)]
         assert len(report.cells) == len(train_matrix.feature_names)
 
     def test_a_dt_with_one_split_fits_one_cell(self, fitted):
         train_matrix = noise_corpus(1, 400, prefix="tr")
         report = analyze_matrices(train_matrix, noise_corpus(2, 240, prefix="te"),
                                   algorithms=("dt",), seed=5)
-        assert fitted == [[train_matrix.drop_feature("perfect").feature_names]]
+        assert fitted == [train_matrix.feature_names,
+                          train_matrix.drop_feature("perfect").feature_names]
         for cell in report.cells:
             if cell.feature != "perfect":
                 assert (cell.mcc_without, cell.local, cell.changed_predictions) == (

@@ -13,10 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fakescope.features import FeatureSpec
+from fakescope.corpus import SynthConfig, synthesize
+from fakescope.features import CLASS_A_SPECS, FeatureSpec, extract
 from fakescope.features.catalog import RATIO
 from fakescope.features.extract import FeatureMatrix
-from fakescope.learn import train
+from fakescope.learn import cross_validate_matrix, train, unused_columns
+from fakescope.sensitivity import analyze_matrices
 
 TARGETS = [
     *(("fakescope.cli", name) for name in (
@@ -71,3 +73,39 @@ def test_tree_fits_call_the_wrapped_grow_tree(monkeypatch):
     model = train("ab", matrix, params={"rounds": 3})
     assert len(model.state.trees) == 3
     assert calls == {"fakescope.learn.model": 1, "fakescope.learn.ensembles": 3}
+
+
+def _counting_train(monkeypatch, name):
+    """Replaces ``train`` in module ``name``; returns the list each call's
+    algorithm is appended to."""
+    module = importlib.import_module(name)
+    calls = []
+
+    def counting(algorithm, *args, _original=module.train, **kwargs):
+        calls.append(algorithm)
+        return _original(algorithm, *args, **kwargs)
+
+    monkeypatch.setattr(module, "train", counting)
+    return calls
+
+
+def test_cv_folds_and_sensitivity_cells_call_the_wrapped_train(monkeypatch):
+    """A fit that bypassed these ``train`` attributes, say by batching
+    folds or cells, would leave the tracer's ``learn.fit_s.*`` at zero."""
+    dataset = synthesize(SynthConfig.paper_like(seed=3, n_humans=40, n_fakes=40))
+    matrix = extract(dataset, CLASS_A_SPECS)
+    cv_calls = _counting_train(monkeypatch, "fakescope.learn.cv")
+    for algorithm in ("lr", "dt"):
+        cross_validate_matrix(algorithm, matrix, dataset, k=4, seed=1)
+    assert cv_calls == ["lr"] * 4 + ["dt"] * 4
+
+    rows = range(matrix.n_rows)
+    train_matrix = matrix.take_rows([i for i in rows if i % 4])
+    test_matrix = matrix.take_rows([i for i in rows if not i % 4])
+    grid_calls = _counting_train(monkeypatch, "fakescope.sensitivity")
+    report = analyze_matrices(train_matrix, test_matrix, algorithms=("lr", "dt"), seed=2)
+    assert report.excluded == ()
+    n = len(matrix.specs)
+    unused = unused_columns(train("dt", train_matrix))  # an unpruned dt draws no seed
+    assert unused
+    assert grid_calls == ["lr"] * (1 + n) + ["dt"] * (1 + n - len(unused))
