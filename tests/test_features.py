@@ -28,7 +28,7 @@ from fakescope.features import (
     neighbor_stats,
     specs_by_names,
 )
-from fakescope.features.extract import _EXTRACTORS
+from fakescope.features.extract import _EXTRACTORS, without_unread_tables
 
 from conftest import REF, make_account, make_dataset, make_tweet
 
@@ -172,6 +172,33 @@ class TestExtractFormulas:
         for j, spec in enumerate(m.specs):
             if spec.is_boolean:
                 assert set(np.unique(m.values[:, j])) <= {0.0, 1.0}, spec.name
+
+    def test_take_rows_and_drop_feature_copy_into_c_order(self, paper_like_small):
+        m = extract(paper_like_small, specs_by_names(["age_days", "url_ratio", "has_name"]))
+        rows = m.take_rows([2, 0, 5])
+        dropped = m.drop_feature("url_ratio")
+        for part, expected in ((rows, m.values[[2, 0, 5]]), (dropped, m.values[:, [0, 2]])):
+            assert part.values.flags.c_contiguous
+            assert not np.shares_memory(part.values, m.values)
+            assert np.array_equal(part.values, expected)
+        assert rows.account_ids == tuple(m.account_ids[i] for i in (2, 0, 5))
+        assert dropped.feature_names == ("age_days", "has_name")
+
+    @pytest.mark.parametrize(("names", "keeps_tweets", "keeps_graph"), [
+        (["age_days"], False, False),
+        (["age_days", "url_ratio"], True, False),
+        (["bidirectional_link_ratio"], False, True),
+        (["url_ratio", "bidirectional_link_ratio"], True, True),
+    ])
+    def test_without_unread_tables(self, paper_like_small, names, keeps_tweets, keeps_graph):
+        specs = specs_by_names(names)
+        kept = without_unread_tables(paper_like_small, specs)
+        assert (kept.tweets is not None, kept.graph is not None) == (keeps_tweets, keeps_graph)
+        if keeps_tweets and keeps_graph:
+            assert kept is paper_like_small
+        assert kept.account_ids == paper_like_small.account_ids
+        assert np.array_equal(extract(kept, specs).values,
+                              extract(paper_like_small, specs).values)
 
 
 class TestMessageSimilarity:

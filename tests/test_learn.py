@@ -709,6 +709,18 @@ class TestLockStepLogistic:
         model = train("lr", _noisy_class_a_matrix(), seed=4)
         assert model.state.iterations <= 20
 
+    def test_fold_and_dropped_feature_fits_match_the_oracle(self):
+        # the matrices a CV fold and a sensitivity cell hand to `train`
+        matrix = _noisy_class_a_matrix()
+        matrices = [matrix.take_rows(range(i, matrix.n_rows, 3)) for i in range(3)]
+        matrices.append(matrix.drop_feature(matrix.feature_names[0]))
+        for part in matrices:
+            state = train("lr", part, seed=1).state
+            mean, std, w, iterations, _ = _oracle_lr_fit(part.values, part.y01(), 1e-3, 100, 1e-6)
+            assert state.iterations == iterations
+            assert state.weights.tobytes() == w.tobytes()
+            assert (state.mean.tobytes(), state.std.tobytes()) == (mean.tobytes(), std.tobytes())
+
 
 @st.composite
 def distance_rows(draw):
