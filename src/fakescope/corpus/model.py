@@ -201,22 +201,10 @@ class LabeledDataset:
         return counts
 
     def without_tweets(self) -> "LabeledDataset":
-        return LabeledDataset(
-            accounts=dict(self.accounts),
-            tweets=None,
-            graph=self.graph,
-            reference_time=self.reference_time,
-            provenance=self.provenance,
-        )
+        return replace(self, tweets=None)
 
     def without_graph(self) -> "LabeledDataset":
-        return LabeledDataset(
-            accounts=dict(self.accounts),
-            tweets=None if self.tweets is None else dict(self.tweets),
-            graph=None,
-            reference_time=self.reference_time,
-            provenance=self.provenance,
-        )
+        return replace(self, graph=None)
 
     def subset(self, ids: Iterable[str], provenance: str = "") -> "LabeledDataset":
         keep = set(ids)
@@ -256,13 +244,7 @@ class LabeledDataset:
             uid: (replace(a, label=labels[uid]) if uid in labels else a)
             for uid, a in self.accounts.items()
         }
-        return LabeledDataset(
-            accounts=accounts,
-            tweets=None if self.tweets is None else dict(self.tweets),
-            graph=self.graph,
-            reference_time=self.reference_time,
-            provenance=self.provenance,
-        )
+        return replace(self, accounts=accounts)
 
 
 @dataclass(frozen=True)

@@ -36,8 +36,8 @@ from .tree import (
 ALGORITHMS = ("dt", "rf", "ab", "knn", "nb", "lr")
 
 # The params keys each algorithm's fit takes; each default lives in the fit's
-# signature (grow_tree, rf_fit, ab_fit, knn_fit, lr_fit). dt also takes
-# "prune", applied after the fit. Keys an algorithm does not take are ignored.
+# signature (grow_tree, rf_fit, ab_fit, knn_fit, lr_fit). dt's fit also reads
+# "prune" and prunes the tree it grew. Keys an algorithm does not take are ignored.
 FIT_PARAMS = {
     "dt": ("min_leaf", "max_depth"),
     "rf": ("n_trees", "min_leaf", "max_depth", "feature_sample"),
@@ -48,15 +48,11 @@ FIT_PARAMS = {
 }
 
 MODEL_FORMAT_VERSION = 1
-UNSAVED = {"saved": False}  # field metadata: a state field model.json leaves out
 
 
 @dataclass
 class TreeState:
     root: Tree = field(metadata={"key": "tree"})
-    # the training sample, for reduced-error pruning; a model read from JSON has none
-    X: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)), metadata=UNSAVED)
-    y: np.ndarray = field(default_factory=lambda: np.zeros(0), metadata=UNSAVED)
 
 
 STATES = {"dt": TreeState, "rf": ForestState, "ab": BoostState, "knn": KnnState,
@@ -93,10 +89,22 @@ def _check_matrix(matrix: FeatureMatrix) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def _fit_state(algorithm: str, matrix: FeatureMatrix, fit_params: dict, seed: int):
+def _fit_state(algorithm: str, matrix: FeatureMatrix, params: dict, seed: int):
     X, y = _check_matrix(matrix)
+    fit_params = {name: params[name] for name in FIT_PARAMS[algorithm] if name in params}
     if algorithm == "dt":
-        return TreeState(root=grow_tree(X, y, **fit_params), X=X, y=y)
+        root = grow_tree(X, y, **fit_params)
+        strategy = params.get("prune")
+        name, arg = (None, None) if strategy is None else strategy
+        if name == "reduced_error":
+            given = {} if arg is None else {"folds": int(arg)}
+            root = reduced_error_prune(root, X, y, seed=seed, **given)
+        elif name == "subtree_raising":
+            given = {} if arg is None else {"confidence": float(arg)}
+            root = pessimistic_prune(root, **given)
+        elif name is not None:
+            raise LearnError(f"unknown pruning strategy {name!r}")
+        return TreeState(root=root)
     if algorithm == "rf":
         return rf_fit(X, y, seed=seed, **fit_params)
     if algorithm == "ab":
@@ -119,19 +127,19 @@ def train(
     if algorithm not in ALGORITHMS:
         raise LearnError(f"unknown algorithm {algorithm!r}")
     params = dict(params or {})
-    fit_params = {name: params[name] for name in FIT_PARAMS[algorithm] if name in params}
-    model = TrainedModel(
+    strategy = params.get("prune")
+    if algorithm == "dt" and strategy is not None:
+        # ("reduced_error", folds) or ("subtree_raising", confidence); a bare
+        # name takes the strategy's default
+        params["prune"] = (strategy, None) if isinstance(strategy, str) else tuple(strategy)
+    return TrainedModel(
         algorithm=algorithm,
         params=params,
         feature_names=matrix.feature_names,
         feature_kinds=tuple(s.kind for s in matrix.specs),
         seed=seed,
-        state=_fit_state(algorithm, matrix, fit_params, seed),
+        state=_fit_state(algorithm, matrix, params, seed),
     )
-    prune_spec = params.get("prune") if algorithm == "dt" else None
-    if prune_spec is not None:
-        model = prune(model, prune_spec, seed=seed)
-    return model
 
 
 def unused_columns(model: TrainedModel) -> frozenset:
@@ -196,51 +204,10 @@ def predict(model: TrainedModel, vector: Sequence[float]) -> Prediction:
     return Prediction(label=labels[0], score=float(scores[0]))
 
 
-def prune(model: TrainedModel, strategy, seed: int = 0) -> TrainedModel:
-    """Prune a trained decision tree.
-
-    ``strategy`` is ("reduced_error", folds) or ("subtree_raising",
-    confidence); a bare string uses the strategy's default parameter.
-    """
-    if model.algorithm != "dt":
-        raise LearnError("pruning applies to decision trees only")
-    if isinstance(strategy, str):
-        strategy = (strategy, None)
-    name, arg = strategy
-    state: TreeState = model.state
-    if name == "reduced_error":
-        if len(state.y) == 0:
-            raise LearnError(
-                "reduced_error pruning needs the training sample, which this model "
-                "does not carry (a model read from JSON keeps only its tree)"
-            )
-        given = {} if arg is None else {"folds": int(arg)}
-        root = reduced_error_prune(state.root, state.X, state.y, seed=seed, **given)
-    elif name == "subtree_raising":
-        given = {} if arg is None else {"confidence": float(arg)}
-        root = pessimistic_prune(state.root, **given)
-    else:
-        raise LearnError(f"unknown pruning strategy {name!r}")
-    params = dict(model.params)
-    params["prune"] = (name, arg)
-    return TrainedModel(
-        algorithm="dt",
-        params=params,
-        feature_names=model.feature_names,
-        feature_kinds=model.feature_kinds,
-        seed=model.seed,
-        state=TreeState(root=root, X=state.X, y=state.y),
-    )
-
-
 def model_tree_stats(model: TrainedModel):
     if model.algorithm != "dt":
         raise LearnError("tree statistics apply to decision trees only")
     return tree_stats(model.state.root)
-
-
-def _saved_fields(state_type) -> list:
-    return [f for f in fields(state_type) if f.metadata.get("saved", True)]
 
 
 def _encoded(value):
@@ -268,7 +235,7 @@ def _decoded(declared, value, n_features: int, dtype=None):
 def _state_to_json(model: TrainedModel) -> dict:
     state = model.state
     return {f.metadata.get("key", f.name): _encoded(getattr(state, f.name))
-            for f in _saved_fields(state)}
+            for f in fields(state)}
 
 
 def _state_from_json(algorithm: str, data: dict, n_features: int):
@@ -277,7 +244,7 @@ def _state_from_json(algorithm: str, data: dict, n_features: int):
     return state_type(**{
         f.name: _decoded(declared[f.name], data[f.metadata.get("key", f.name)], n_features,
                          f.metadata.get("dtype"))
-        for f in _saved_fields(state_type)
+        for f in fields(state_type)
     })
 
 
@@ -310,7 +277,7 @@ def _check_state(model: TrainedModel) -> None:
     """Raises LearnError unless the state of a loaded model can score rows."""
     d = model.n_features
     state = model.state
-    saved = [(f, getattr(state, f.name)) for f in _saved_fields(state)]
+    saved = [(f, getattr(state, f.name)) for f in fields(state)]
     lists = {f.name: len(value) for f, value in saved if isinstance(value, list)}
     if len(set(lists.values())) > 1:  # every list holds one entry per tree
         raise LearnError(
@@ -345,11 +312,16 @@ def _check_state(model: TrainedModel) -> None:
             raise LearnError(f"model field {f.name!r} holds a value that is not {what}")
 
 
+def _refuse_constant(name: str):
+    # json.loads reads NaN, Infinity and -Infinity, which JSON does not allow
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def model_from_json(text: str) -> TrainedModel:
     """Reads a model written by ``model_to_json``; a malformed or
     inconsistent model raises LearnError naming the problem."""
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, parse_constant=_refuse_constant)
     except ValueError as exc:
         raise LearnError(f"model is not valid JSON: {exc}") from None
     except RecursionError:

@@ -77,26 +77,26 @@ class Tree:
 
     @classmethod
     def from_dict(cls, data: dict, n_features: int) -> "Tree":
-        """Flattens the nested form, numbering nodes in preorder; a split
-        whose feature is not one of ``n_features`` columns, or a node with
-        a count or threshold that is not a number, raises LearnError."""
-        rows: list = []  # one [feature, threshold, left, right, n, n_fake] per node
-        stack = [(data, None, 0)]  # (node, its parent's row, the link to set)
+        """Flattens the nested form, numbering nodes as growth and pruning
+        do: depth first, left before right, a split's two children take the
+        next two numbers when the split is reached. A split whose feature
+        is not one of ``n_features`` columns, or a node with a count or
+        threshold that is not a number, raises LearnError."""
+        rows: list = [None]  # one [feature, threshold, left, right, n, n_fake] per node
+        stack = [(data, 0)]
         while stack:
-            node, parent, link = stack.pop()
-            if parent is not None:
-                parent[link] = len(rows)
-            row = [-1, math.nan, -1, -1, _number(node["n"], "n"),
-                   _number(node["n_fake"], "n_fake")]
-            rows.append(row)
+            node, i = stack.pop()
+            rows[i] = row = [-1, math.nan, -1, -1, _number(node["n"], "n"),
+                             _number(node["n_fake"], "n_fake")]
             if "feature" in node:
                 f = node["feature"]
                 if isinstance(f, bool) or not isinstance(f, int) or not 0 <= f < n_features:
                     raise LearnError(
                         f"tree node feature {f!r} is out of range for {n_features} features"
                     )
-                row[:2] = f, _number(node["threshold"], "threshold")
-                stack += [(node["right"], row, 3), (node["left"], row, 2)]
+                row[:4] = f, _number(node["threshold"], "threshold"), len(rows), len(rows) + 1
+                rows += [None, None]
+                stack += [(node["right"], row[3]), (node["left"], row[2])]
         return cls(*zip(*rows))
 
 
@@ -314,19 +314,16 @@ def grow_tree(
     weights: Optional[np.ndarray] = None,
     min_leaf: int = 2,
     max_depth: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
-    mtry: Optional[int] = None,
     order: Optional[np.ndarray] = None,
 ) -> Tree:
-    """One tree on every row of ``X``, as `grow_trees` grows it.
+    """One tree on every row of ``X``, as `grow_trees` grows it, searching
+    every column at every node.
 
     ``order`` is ``presort(X)``, passed in by callers that grow several
-    trees on the same rows; ``rng`` and ``mtry`` draw candidate features
-    only when both are set.
+    trees on the same rows.
     """
-    rngs = None if rng is None or mtry is None else [rng]
     return grow_trees(X, y, presort(X) if order is None else order, None, weights,
-                      min_leaf, max_depth, rngs, mtry)[0]
+                      min_leaf, max_depth)[0]
 
 
 def _stack(trees: Sequence[Tree]) -> tuple[Tree, np.ndarray]:

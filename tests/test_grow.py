@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from fakescope.kernels import best_threshold_split, presort
 from fakescope.learn.ensembles import ab_fit, rf_fit
-from fakescope.learn.tree import GAIN_EPS, Tree, grow_tree, tree_predict_proba
+from fakescope.learn.tree import GAIN_EPS, Tree, grow_tree, grow_trees, tree_predict_proba
 from fakescope.seeding import make_rng
 
 
@@ -177,7 +177,7 @@ class TestOracle:
     @given(samples(), st.integers(1, 4), st.integers(0, 99))
     def test_grow_tree_with_candidate_draws(self, sample, mtry, seed):
         X, y = sample
-        got = grow_tree(X, y, rng=make_rng(seed), mtry=mtry)
+        (got,) = grow_trees(X, y, presort(X), rngs=[make_rng(seed)], mtry=mtry)
         assert _same(got, _oracle_grow_tree(X, y, rng=make_rng(seed), mtry=mtry))
 
     @grow

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,17 +16,20 @@ from fakescope.features.catalog import CLASS_A_SPECS, RATIO, YANG_SET
 from fakescope.features.extract import FeatureMatrix
 from fakescope.learn import (
     LearnError,
+    Tree,
     class_distribution_sweep,
     cross_validate,
     cross_validate_matrix,
     model_from_json,
     model_to_json,
     model_tree_stats,
+    pessimistic_prune,
     predict,
     predict_many,
     predict_scores,
-    prune,
+    reduced_error_prune,
     train,
+    unused_columns,
 )
 from fakescope.kernels import best_threshold_split, presort
 from fakescope.learn.ensembles import ab_fit, ab_scores, BoostState
@@ -93,6 +97,26 @@ class TestTrain:
     def test_unknown_algorithm(self):
         with pytest.raises(LearnError):
             train("svm", simple_matrix(), seed=0)
+
+    @pytest.mark.parametrize(("given", "recorded", "tree_level"), [
+        ("reduced_error", ("reduced_error", None),
+         lambda root, X, y: reduced_error_prune(root, X, y, seed=7)),
+        (["reduced_error", 2.0], ("reduced_error", 2.0),
+         lambda root, X, y: reduced_error_prune(root, X, y, folds=2, seed=7)),
+        ("subtree_raising", ("subtree_raising", None), lambda root, X, y: pessimistic_prune(root)),
+        (("subtree_raising", 0.1), ("subtree_raising", 0.1),
+         lambda root, X, y: pessimistic_prune(root, confidence=0.1)),
+    ])
+    def test_dt_prunes_the_tree_it_grew(self, noisy_matrix, given, recorded, tree_level):
+        model = train("dt", noisy_matrix, params={"prune": given, "min_leaf": 3}, seed=7)
+        assert model.params == {"prune": recorded, "min_leaf": 3}
+        grown = train("dt", noisy_matrix, params={"min_leaf": 3}).state.root
+        want = tree_level(grown, noisy_matrix.values, noisy_matrix.y01())
+        assert model.state.root.to_dict() == want.to_dict()
+
+    def test_unknown_pruning_strategy(self):
+        with pytest.raises(LearnError, match="unknown pruning strategy 'cost'"):
+            train("dt", simple_matrix(), params={"prune": "cost"})
 
     def test_rf_one_tree_full_features_equals_dt_on_bootstrap(self):
         rng_data = make_rng(123)
@@ -340,6 +364,26 @@ class TestModelValidation:
         with pytest.raises(LearnError, match=message):
             model_from_json(json.dumps(payload))
 
+    @pytest.mark.parametrize(("algo", "path", "constant"), [
+        ("dt", ("tree", "threshold"), "NaN"),
+        ("rf", ("trees", 0, "threshold"), "-Infinity"),
+        ("ab", ("alphas", 0), "Infinity"),
+        ("knn", ("mean", 0), "Infinity"),
+        ("nb", ("prior_fake",), "NaN"),
+        ("lr", ("weights", 0), "Infinity"),
+    ])
+    def test_non_finite_constant(self, algo, path, constant):
+        payload = json.loads(model_to_json(train(algo, simple_matrix(), params={"k": 1})))
+        container = payload["state"]
+        *steps, key = path
+        for step in steps:
+            container = container[step]
+        container[key] = float(constant)  # json.dumps writes the bare constant
+        text = json.dumps(payload)
+        assert constant in text
+        with pytest.raises(LearnError, match=f"{constant} is not a JSON number"):
+            model_from_json(text)
+
     def test_forest_without_trees(self):
         payload = json.loads(model_to_json(train("rf", simple_matrix(), seed=0)))
         payload["state"]["trees"] = []
@@ -490,17 +534,62 @@ def test_tree_model_json_round_trips_byte_for_byte():
         assert model_to_json(model_from_json(text)) == text, (algo, params)
 
 
+def _assert_same_value(trained, loaded):
+    """Equal type, and equal bytes and dtype for an array."""
+    assert type(loaded) is type(trained)
+    if isinstance(trained, list):
+        assert len(loaded) == len(trained)
+        for a, b in zip(trained, loaded):
+            _assert_same_value(a, b)
+    elif isinstance(trained, Tree):
+        for f in fields(Tree):
+            _assert_same_value(getattr(trained, f.name), getattr(loaded, f.name))
+    elif isinstance(trained, np.ndarray):
+        assert (loaded.dtype, loaded.shape) == (trained.dtype, trained.shape)
+        assert loaded.tobytes() == trained.tobytes()
+    else:
+        assert loaded == trained
+
+
+@pytest.fixture(scope="module")
+def noisy_matrix():
+    return _noisy_class_a_matrix()
+
+
+@pytest.mark.parametrize(("algo", "params"), [
+    ("dt", None),
+    ("dt", {"prune": "reduced_error"}),
+    ("dt", {"prune": ("subtree_raising", 0.25)}),
+    ("rf", {"n_trees": 8}),
+    ("ab", {"rounds": 20, "depth": 2}),
+    ("knn", None),
+    ("nb", None),
+    ("lr", None),
+])
+def test_a_loaded_model_is_the_trained_model(noisy_matrix, algo, params):
+    trained = train(algo, noisy_matrix, params=params, seed=4)
+    loaded = model_from_json(model_to_json(trained))
+    assert type(loaded.state) is type(trained.state)
+    for f in fields(trained.state):
+        _assert_same_value(getattr(trained.state, f.name), getattr(loaded.state, f.name))
+    X = noisy_matrix.values
+    assert predict_scores(loaded, X).tobytes() == predict_scores(trained, X).tobytes()
+    assert unused_columns(loaded) == unused_columns(trained)
+
+
 def test_trees_deeper_than_the_recursion_limit():
     """Alternating labels on one column grow a tree one row per level."""
     n = 1200
     X = np.arange(n, dtype=np.float64).reshape(-1, 1)
-    model = train("dt", make_matrix(X, np.arange(n) % 2), seed=0)
+    matrix = make_matrix(X, np.arange(n) % 2)
+    model = train("dt", matrix, seed=0)
     stats = model_tree_stats(model)
     assert (stats.nodes, stats.leaves, stats.height) == (2 * n - 1, n, n)
     labels, _ = predict_many(model, X)
     assert labels == ["fake" if i % 2 else "human" for i in range(n)]
     for strategy in ("reduced_error", "subtree_raising"):
-        assert model_tree_stats(prune(model, strategy, seed=1)).nodes <= stats.nodes
+        pruned = train("dt", matrix, params={"prune": strategy}, seed=1)
+        assert model_tree_stats(pruned).nodes <= stats.nodes
     with pytest.raises(LearnError, match=f"height {n} is nested too deeply"):
         model_to_json(model)
     with pytest.raises(LearnError, match="nested too deeply"):
@@ -639,7 +728,7 @@ def _assert_matches_oracle(problems, ridge, max_iter, tol):
 
 
 @st.composite
-def lr_batches(draw):
+def lr_problems(draw):
     shapes = [(draw(st.integers(4, 60)), draw(st.integers(1, 5))) for _ in range(2)]
     problems = []
     for _ in range(draw(st.integers(1, 6))):
@@ -653,11 +742,11 @@ def lr_batches(draw):
     return problems, ridge, max_iter, tol
 
 
-class TestLockStepLogistic:
+class TestNewtonLogistic:
     @settings(max_examples=200, deadline=None)
-    @given(lr_batches())
-    def test_batch_is_bit_identical_to_one_loop_per_problem(self, batch):
-        _assert_matches_oracle(*batch)
+    @given(lr_problems())
+    def test_fit_is_bit_identical_to_the_oracle(self, problems):
+        _assert_matches_oracle(*problems)
 
     def test_problems_retire_at_their_own_iteration(self):
         rng = make_rng(5)

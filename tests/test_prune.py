@@ -12,7 +12,6 @@ from fakescope.learn import (
     model_from_json,
     model_to_json,
     pessimistic_prune,
-    prune,
     reduced_error_prune,
     train,
     tree_predict_proba,
@@ -149,20 +148,15 @@ class TestPessimistic:
 
 
 class TestLoadedModel:
-    """A model read back from JSON keeps its tree but not its training sample."""
+    """A model read back from JSON holds the tree the trained model holds,
+    so a tree-level pruning of either gives the same tree."""
 
     @pytest.fixture(scope="class")
     def trained(self):
         ds = synthesize(SynthConfig.paper_like(seed=5, n_humans=60, n_fakes=60))
         return train("dt", extract(ds, CLASS_A_SPECS), seed=2)
 
-    def test_reduced_error_names_the_missing_sample(self, trained):
-        loaded = model_from_json(model_to_json(trained))
-        with pytest.raises(LearnError, match="training sample"):
-            prune(loaded, "reduced_error")
-
     def test_subtree_raising_matches_the_in_memory_model(self, trained):
         loaded = model_from_json(model_to_json(trained))
-        strategy = ("subtree_raising", 0.25)
-        expected = prune(trained, strategy).state.root.to_dict()
-        assert prune(loaded, strategy).state.root.to_dict() == expected
+        expected = pessimistic_prune(trained.state.root, confidence=0.25).to_dict()
+        assert pessimistic_prune(loaded.state.root, confidence=0.25).to_dict() == expected

@@ -70,9 +70,12 @@ def test_tree_fits_call_the_wrapped_grow_tree(monkeypatch):
                            provenance={})
     train("dt", matrix)
     assert calls == {"fakescope.learn.model": 1}
+    for fits, strategy in enumerate(("reduced_error", "subtree_raising"), start=2):
+        train("dt", matrix, params={"prune": strategy})  # pruning grows no second tree
+        assert calls == {"fakescope.learn.model": fits}
     model = train("ab", matrix, params={"rounds": 3})
     assert len(model.state.trees) == 3
-    assert calls == {"fakescope.learn.model": 1, "fakescope.learn.ensembles": 3}
+    assert calls == {"fakescope.learn.model": 3, "fakescope.learn.ensembles": 3}
 
 
 def _counting_train(monkeypatch, name):
